@@ -14,12 +14,13 @@
 //
 // The call-site file holds one qualified name per line ("C::m", blank
 // lines and #-comments skipped); cmd/hiergen -callsites generates
-// compiler-shaped streams. Sites are drained through the engine's
-// batched resolve path: deduplicated, sorted member-major, each
-// unique (class, member) cone resolved once. -semantics picks one
-// resolution backend (default dominance). The summary reports
-// monomorphic / polymorphic / unresolved site counts and the drain
-// throughput.
+// compiler-shaped streams. Sites are drained through one
+// devirt.Resolver, whose target-set cache answers a repeated costly
+// (class, member) pair without walking its cone again. -semantics
+// picks one resolution backend (default dominance). The summary
+// reports monomorphic / polymorphic / unresolved site counts, cache
+// hits and size, and the drain throughput; -v resolves with exact
+// per-cone tallies, so each site's "(cone N)" is its cone's size.
 package main
 
 import (
@@ -98,6 +99,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	r.FullStats = *verbose
 	start := time.Now()
 	res := r.ResolveBatch(sites, nil)
 	elapsed := time.Since(start)
@@ -108,7 +110,7 @@ func main() {
 		}
 	}
 
-	var mono, poly, unresolved, fastPath int
+	var mono, poly, unresolved, cacheHits int
 	unique := map[devirt.Site]struct{}{}
 	for i, rs := range res {
 		unique[sites[i]] = struct{}{}
@@ -121,14 +123,17 @@ func main() {
 			unresolved++
 		}
 		if rs.FastPath {
-			fastPath++
+			cacheHits++
 		}
 	}
 	fmt.Printf("%d sites (%d unique pairs, %d skipped lines), backend %s\n",
 		len(sites), len(unique), skipped, id)
 	if len(sites) > 0 {
-		fmt.Printf("  monomorphic %d (%.1f%%)   polymorphic %d   no-target %d   fast-path %d\n",
-			mono, 100*float64(mono)/float64(len(sites)), poly, unresolved, fastPath)
+		fmt.Printf("  monomorphic %d (%.1f%%)   polymorphic %d   no-target %d   cache-hit %d\n",
+			mono, 100*float64(mono)/float64(len(sites)), poly, unresolved, cacheHits)
+		cs := r.CacheStats()
+		fmt.Printf("  cache: %d pairs, %d distinct target sets, %d target ids, ~%d KiB\n",
+			cs.Pairs, cs.Sets, cs.Targets, (cs.Bytes+1023)/1024)
 		fmt.Printf("  drained in %v (%.2fM sites/sec)\n",
 			elapsed.Round(time.Microsecond), float64(len(sites))/elapsed.Seconds()/1e6)
 	}

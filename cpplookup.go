@@ -217,8 +217,8 @@ type (
 	// the static type's descendant cone. One target = monomorphic.
 	DevirtResolution = devirt.Resolution
 	// DevirtResolver resolves call sites against a served snapshot,
-	// batching and deduplicating site streams through the sorted
-	// bulk lookup path.
+	// caching the target sets of costly (class, member) pairs so a
+	// repeated pair, or a cone containing a cached one, is cheap.
 	DevirtResolver = devirt.Resolver
 )
 

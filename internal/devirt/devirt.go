@@ -10,25 +10,27 @@
 // site is monomorphic — the compiler can replace the virtual dispatch
 // with a direct (inlinable) call.
 //
-// The Resolver leans on the engine's bulk machinery end to end: cones
-// come from the graph's closure rows (or BFS past DenseClosureLimit,
-// via chg.EachDescendant), the cone's lookups drain through
-// Snapshot.LookupBatch's sorted path, batches of call sites dedup to
-// unique (class, member) pairs so one cone traversal serves every
-// duplicate site, and two fast paths skip cone resolution outright:
-// leaf roots (the cone is the root alone, one lookup decides) and —
-// via a declaration census built at construction — members with a
-// single declaring class (no cone lookups at all).
+// The target set obeys the reverse of Figure 8's propagation:
+//
+//	targets(c, m) = {lookup(c, m).class if found} ∪ ⋃ targets(d, m)
+//
+// over c's direct derived classes d. The cone of c is c plus the
+// cones of its direct derived classes, and set union is idempotent,
+// so the recurrence is exact under every resolution backend, diamonds
+// included. A Resolver walks the cone breadth-first, reads one lookup
+// cell per receiver, and stops at any descendant whose target set it
+// has already cached; sets whose walk read many cells are cached for
+// the life of the Resolver. A snapshot never changes, so the cache
+// needs no invalidation: a new snapshot gets a new Resolver.
 package devirt
 
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
-	"cpplookup/internal/bitset"
 	"cpplookup/internal/chg"
 	"cpplookup/internal/core"
 	"cpplookup/internal/engine"
@@ -51,104 +53,88 @@ type Resolution struct {
 	// descendants), ascending by class id — the possible override
 	// targets of the call. Receivers whose lookup is undefined,
 	// ambiguous, or failed contribute no target: a call through them
-	// is ill-formed, not a dispatch. Resolutions produced by
-	// ResolveBatch may share one Targets slice across duplicate
-	// sites; treat it as immutable.
+	// is ill-formed, not a dispatch. Cached answers share one Targets
+	// slice across every resolution of the pair; treat it as
+	// immutable.
 	Targets []chg.ClassID
 
 	// Monomorphic reports len(Targets) == 1: every receiver type that
 	// can legally make the call lands in the same declaring class.
 	Monomorphic bool
 
-	// FastPath reports the answer skipped the batched cone
-	// resolution: either the root is a leaf (one lookup was the whole
-	// cone; tallies exact) or the member has a single declaring class
-	// (no cone lookups at all; tallies zero). Resolver.FullStats
-	// disables both when exact tallies matter more than speed.
+	// FastPath reports the answer came from the Resolver's target-set
+	// cache, without a cone walk. It is never set under FullStats.
 	FastPath bool
 
 	// Cone is the number of receiver types considered: Root plus its
-	// strict descendants.
-	Cone int
-
-	// Resolved, Undefined, Ambiguous and Failed tally the cone's
-	// lookup outcomes. On the general and leaf paths they are exact
-	// (summing to Cone); on the single-declarer fast path they are
-	// all zero.
+	// strict descendants. Resolved, Undefined, Ambiguous and Failed
+	// tally the cone's lookup outcomes and sum to Cone. All five are
+	// exact under Resolver.FullStats and zero otherwise, because a
+	// walk that stops at cached descendants never sees their
+	// receivers.
+	Cone                                   int
 	Resolved, Undefined, Ambiguous, Failed int
 }
 
+// memoMinReads is the number of lookup cells a walk must read before
+// its target set is cached. Small cones are cheap to walk again, and
+// caching them would cost more memory than it saves time; tests set
+// it to 0 to cache every walk.
+var memoMinReads = 64
+
+const cacheShards = 64
+
 // Resolver answers CHA queries against one immutable snapshot under
-// one resolution backend. It precomputes a declaration census (how
-// many classes declare each member, and which class when unique) at
-// construction; Resolve* calls then share cone traversals and batch
-// scratch. A Resolver's exported fields must be set before first use;
-// its methods are safe for concurrent callers.
+// one resolution backend, caching the target sets of costly pairs
+// (see the package comment). A Resolver's exported fields must be set
+// before first use; its methods are safe for concurrent callers.
 type Resolver struct {
 	snap *engine.Snapshot
 	sem  core.SemanticsID
 	g    *chg.Graph
 
-	// declCount[m] is the number of classes declaring member m;
-	// soleDecl[m] is that class when declCount[m] == 1.
-	declCount []int32
-	soleDecl  []chg.ClassID
-
-	// FullStats disables the single-declarer fast path so every
-	// resolution carries exact per-cone tallies.
+	// FullStats makes every resolution walk its whole cone, bypassing
+	// the cache, so Cone and the tallies are exact.
 	FullStats bool
 
-	// Workers bounds the fan-out of ResolveBatch and of a single
-	// large cone's lookups: 0 picks automatically (the engine batch
-	// heuristics), 1 forces serial.
+	// Workers bounds the fan-out of ResolveBatch: 0 picks
+	// automatically, 1 forces serial.
 	Workers int
 
-	scratch sync.Pool // *resolveScratch
+	scratch sync.Pool // *walkScratch
+	cache   [cacheShards]cacheShard
 }
 
-// resolveScratch is one worker's reusable buffers.
-type resolveScratch struct {
-	qs      []engine.Query
-	res     []core.Result
-	visited *bitset.Set
-	queue   []chg.ClassID
-	counts  map[chg.ClassID]struct{}
-	batch   core.BatchScratch
+// cacheShard holds the cached target sets of the members m with
+// m % cacheShards equal to its index. Each distinct set is stored
+// once and shared by every pair resolving to it.
+type cacheShard struct {
+	mu     sync.RWMutex
+	pairs  map[chg.MemberID]map[chg.ClassID]uint32 // member → class → index into sets
+	sets   [][]chg.ClassID
+	intern map[uint64]uint32 // setHash → index into sets
+}
+
+// walkScratch is one walker's reusable buffers. A class is visited by
+// the current walk when visit[c] == epoch, and already among the
+// walk's targets when mark[c] == epoch.
+type walkScratch struct {
+	visit, mark []uint32
+	epoch       uint32
+	queue       []chg.ClassID
+	targets     []chg.ClassID
 }
 
 // New builds a Resolver over snap's backend sem. It fails when the
 // snapshot was not built to serve sem.
 func New(snap *engine.Snapshot, sem core.SemanticsID) (*Resolver, error) {
-	served := false
-	for _, id := range snap.Semantics() {
-		if id == sem {
-			served = true
-			break
-		}
-	}
-	if !served {
+	if !slices.Contains(snap.Semantics(), sem) {
 		return nil, fmt.Errorf("devirt: snapshot does not serve backend %q", sem)
 	}
 	g := snap.Graph()
-	r := &Resolver{
-		snap:      snap,
-		sem:       sem,
-		g:         g,
-		declCount: make([]int32, g.NumMemberNames()),
-		soleDecl:  make([]chg.ClassID, g.NumMemberNames()),
-	}
-	for c := 0; c < g.NumClasses(); c++ {
-		for _, mem := range g.DeclaredMembers(chg.ClassID(c)) {
-			m := g.MustMemberID(mem.Name)
-			r.declCount[m]++
-			r.soleDecl[m] = chg.ClassID(c)
-		}
-	}
+	r := &Resolver{snap: snap, sem: sem, g: g}
 	r.scratch.New = func() any {
-		return &resolveScratch{
-			visited: bitset.New(g.NumClasses()),
-			counts:  make(map[chg.ClassID]struct{}),
-		}
+		return &walkScratch{visit: make([]uint32, g.NumClasses()), mark: make([]uint32, g.NumClasses())}
 	}
 	return r, nil
 }
@@ -163,223 +149,233 @@ func (r *Resolver) Semantics() core.SemanticsID { return r.sem }
 // of member m called on static type c. Invalid ids yield an empty
 // resolution (no targets, zero cone).
 func (r *Resolver) ResolveTargets(c chg.ClassID, m chg.MemberID) Resolution {
-	sc := r.scratch.Get().(*resolveScratch)
+	sc := r.scratch.Get().(*walkScratch)
 	defer r.scratch.Put(sc)
-	return r.resolveOne(sc, c, m, r.Workers)
+	return r.resolve(sc, c, m)
 }
 
-// resolveOne computes one resolution using sc's buffers; workers
-// bounds the cone batch's internal fan-out.
-func (r *Resolver) resolveOne(sc *resolveScratch, c chg.ClassID, m chg.MemberID, workers int) Resolution {
+func (r *Resolver) resolve(sc *walkScratch, c chg.ClassID, m chg.MemberID) Resolution {
 	res := Resolution{Root: c, Member: m}
-	if !r.g.Valid(c) || m < 0 || int(m) >= len(r.declCount) {
+	if !r.g.Valid(c) || m < 0 || int(m) >= r.g.NumMemberNames() {
+		return res
+	}
+	if r.FullStats {
+		r.walk(sc, c, m, nil, nil, &res)
+		res.Targets = clone(sc.targets)
+		res.Monomorphic = len(res.Targets) == 1
 		return res
 	}
 
-	if !r.FullStats && len(r.g.DirectDerived(c)) == 0 {
-		// Leaf fast path, sound under every backend: a class with no
-		// derived classes is its own entire cone, so one lookup is
-		// the whole resolution — and its tallies are exact, so this
-		// answer is indistinguishable from the general path's except
-		// for the FastPath flag.
-		lr, _ := r.snap.LookupSem(r.sem, c, m)
-		res.Cone = 1
+	sh := &r.cache[int(m)%cacheShards]
+	sh.mu.RLock()
+	memo := sh.pairs[m]
+	if i, ok := memo[c]; ok {
+		res.Targets = sh.sets[i]
+		sh.mu.RUnlock()
+		res.Monomorphic = len(res.Targets) == 1
 		res.FastPath = true
-		switch {
-		case lr.Found():
-			res.Resolved = 1
-			res.Targets = []chg.ClassID{lr.Class()}
-			res.Monomorphic = true
-		case lr.Ambiguous():
-			res.Ambiguous = 1
-		case lr.Failed():
-			res.Failed = 1
-		default:
-			res.Undefined = 1
-		}
 		return res
 	}
-
-	if !r.FullStats && r.sem == core.SemDominance && r.declCount[m] == 1 {
-		// Single-declarer fast path: only one class L in the whole
-		// hierarchy declares m, so any receiver whose lookup succeeds
-		// resolves to L — under dominance no other declaring class
-		// exists to dominate or be dominated. The target set is
-		// therefore exactly {L} as soon as one receiver in the cone
-		// provably resolves: the root, if m is visible there, or L
-		// itself, if it sits inside the cone (a class always resolves
-		// its own declaration). Both checks ride on work the
-		// resolution needs anyway — one root lookup plus the cone
-		// walk that sizes Cone — so no per-receiver lookups are
-		// issued. When neither check fires (L outside the cone and m
-		// invisible at the root) the answer depends on which cone
-		// members inherit from L, and we fall through to the general
-		// path.
-		L := r.soleDecl[m]
-		n := 1
-		inCone := c == L
-		sc.queue = r.g.EachDescendant(c, sc.visited, sc.queue, func(d chg.ClassID) {
-			n++
-			if d == L {
-				inCone = true
-			}
-		})
-		if inCone || r.snap.Lookup(c, m).Found() {
-			res.Targets = []chg.ClassID{L}
-			res.Monomorphic = true
-			res.FastPath = true
-			res.Cone = n
-			return res
-		}
-	}
-
-	// General path: batch-resolve m for every class in the cone.
-	sc.qs = sc.qs[:0]
-	sc.qs = append(sc.qs, engine.Query{Class: c, Member: m})
-	sc.queue = r.g.EachDescendant(c, sc.visited, sc.queue, func(d chg.ClassID) {
-		sc.qs = append(sc.qs, engine.Query{Class: d, Member: m})
-	})
-	out, _ := r.snap.LookupBatchSemWorkers(r.sem, sc.qs, sc.res[:0], workers)
-	sc.res = out
-
-	res.Cone = len(sc.qs)
-	for _, lr := range out {
-		switch {
-		case lr.Found():
-			res.Resolved++
-			sc.counts[lr.Class()] = struct{}{}
-		case lr.Ambiguous():
-			res.Ambiguous++
-		case lr.Failed():
-			res.Failed++
-		default:
-			res.Undefined++
-		}
-	}
-	if len(sc.counts) > 0 {
-		res.Targets = make([]chg.ClassID, 0, len(sc.counts))
-		for t := range sc.counts {
-			res.Targets = append(res.Targets, t)
-			delete(sc.counts, t)
-		}
-		sort.Slice(res.Targets, func(i, j int) bool { return res.Targets[i] < res.Targets[j] })
+	reads := r.walk(sc, c, m, memo, sh, nil)
+	sh.mu.RUnlock()
+	if reads > memoMinReads {
+		res.Targets = sh.store(c, m, sc.targets)
+	} else {
+		res.Targets = clone(sc.targets)
 	}
 	res.Monomorphic = len(res.Targets) == 1
 	return res
 }
 
-// ResolveBatch resolves a whole slice of call sites, appending one
-// Resolution per site to out (out[i] answers sites[i]) and returning
-// it. Duplicate sites — the common case in real call-site streams,
-// where hot (type, member) pairs repeat millions of times — are
-// deduplicated first: each distinct pair's cone is traversed and
-// resolved once and the Resolution is shared by every duplicate
-// (Targets aliased; treat as immutable). Distinct pairs are resolved
-// member-major so consecutive cones read the same cache column, and
-// fan out over work-stealing workers when Workers allows.
-func (r *Resolver) ResolveBatch(sites []Site, out []Resolution) []Resolution {
-	need := len(out) + len(sites)
-	if cap(out) < need {
-		grown := make([]Resolution, len(out), need)
-		copy(grown, out)
-		out = grown
+// walk computes targets(c, m) into sc.targets, sorted, and returns
+// the number of lookup cells it read. It visits c's cone breadth-first
+// over DirectDerived edges; a strict descendant with an entry in memo
+// contributes its cached set (read from sh, whose read lock the
+// caller holds) and is not descended past. When tally is non-nil
+// (and memo nil, so the whole cone is read) it receives the cone size
+// and per-outcome counts.
+func (r *Resolver) walk(sc *walkScratch, c chg.ClassID, m chg.MemberID, memo map[chg.ClassID]uint32, sh *cacheShard, tally *Resolution) int {
+	sc.epoch++
+	if sc.epoch == 0 {
+		clear(sc.visit)
+		clear(sc.mark)
+		sc.epoch = 1
 	}
-	dst := out[len(out):need]
-	out = out[:need]
-	if len(sites) == 0 {
-		return out
+	ep := sc.epoch
+	add := func(t chg.ClassID) {
+		if sc.mark[t] != ep {
+			sc.mark[t] = ep
+			sc.targets = append(sc.targets, t)
+		}
 	}
-
-	sc := r.scratch.Get().(*resolveScratch)
-	defer r.scratch.Put(sc)
-
-	nc := uint64(r.g.NumClasses())
-	nm := uint64(len(r.declCount))
-	sentinel := nc * nm
-	keys := sc.batch.Keys(len(sites))
-	for i, s := range sites {
-		if !r.g.Valid(s.Class) || s.Member < 0 || uint64(s.Member) >= nm {
-			keys[i] = sentinel
+	sc.targets = sc.targets[:0]
+	sc.queue = append(sc.queue[:0], c)
+	sc.visit[c] = ep
+	reads := 0
+	for head := 0; head < len(sc.queue); head++ {
+		x := sc.queue[head]
+		if i, ok := memo[x]; ok && head > 0 {
+			for _, t := range sh.sets[i] {
+				add(t)
+			}
 			continue
 		}
-		keys[i] = uint64(s.Member)*nc + uint64(s.Class)
-	}
-	sorted, perm := sc.batch.Sort(len(sites), sentinel)
-
-	// Group runs of equal keys: each group is one distinct site
-	// resolved once. Invalid sites are answered inline.
-	type group struct {
-		key    uint64
-		lo, hi int // positions in sorted/perm
-	}
-	var groups []group
-	for i := 0; i < len(sorted); {
-		key := sorted[i]
-		j := i + 1
-		for j < len(sorted) && sorted[j] == key {
-			j++
+		lr, _ := r.snap.LookupSem(r.sem, x, m)
+		reads++
+		if lr.Found() {
+			add(lr.Class())
 		}
-		if key == sentinel {
-			for k := i; k < j; k++ {
-				s := sites[perm[k]]
-				dst[perm[k]] = Resolution{Root: s.Class, Member: s.Member}
+		if tally != nil {
+			switch {
+			case lr.Found():
+				tally.Resolved++
+			case lr.Ambiguous():
+				tally.Ambiguous++
+			case lr.Failed():
+				tally.Failed++
+			default:
+				tally.Undefined++
 			}
-		} else {
-			groups = append(groups, group{key, i, j})
 		}
-		i = j
+		for _, d := range r.g.DirectDerived(x) {
+			if sc.visit[d] != ep {
+				sc.visit[d] = ep
+				sc.queue = append(sc.queue, d)
+			}
+		}
 	}
+	if tally != nil {
+		tally.Cone = reads
+	}
+	slices.Sort(sc.targets)
+	return reads
+}
 
+// store caches ts (sorted) as the target set of (c, m) and returns
+// the stored copy, reusing an identical set already stored in the
+// shard. A pair another goroutine cached first keeps that answer.
+func (sh *cacheShard) store(c chg.ClassID, m chg.MemberID, ts []chg.ClassID) []chg.ClassID {
+	h := setHash(ts)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	memo := sh.pairs[m]
+	if memo == nil {
+		if sh.pairs == nil {
+			sh.pairs = map[chg.MemberID]map[chg.ClassID]uint32{}
+			sh.intern = map[uint64]uint32{}
+		}
+		memo = map[chg.ClassID]uint32{}
+		sh.pairs[m] = memo
+	}
+	if i, ok := memo[c]; ok {
+		return sh.sets[i]
+	}
+	i, ok := sh.intern[h]
+	if !ok || !slices.Equal(sh.sets[i], ts) {
+		i = uint32(len(sh.sets))
+		sh.sets = append(sh.sets, clone(ts))
+		if !ok {
+			sh.intern[h] = i
+		}
+	}
+	memo[c] = i
+	return sh.sets[i]
+}
+
+// setHash is FNV-1a over a target set's class ids.
+func setHash(ts []chg.ClassID) uint64 {
+	h := uint64(14695981039346656037)
+	for _, t := range ts {
+		h = (h ^ uint64(uint32(t))) * 1099511628211
+	}
+	return h
+}
+
+// clone copies ts into a slice of its own, nil when empty.
+func clone(ts []chg.ClassID) []chg.ClassID {
+	if len(ts) == 0 {
+		return nil
+	}
+	return slices.Clip(slices.Clone(ts))
+}
+
+// CacheStats describes a Resolver's target-set cache.
+type CacheStats struct {
+	Pairs   int // cached (class, member) pairs
+	Sets    int // distinct target sets stored for them
+	Targets int // class ids stored across those sets
+	Bytes   int // approximate memory the cache holds
+}
+
+// CacheStats reports the cache's current size, reading each shard
+// under its lock.
+func (r *Resolver) CacheStats() CacheStats {
+	var st CacheStats
+	for i := range r.cache {
+		sh := &r.cache[i]
+		sh.mu.RLock()
+		for _, memo := range sh.pairs {
+			st.Pairs += len(memo)
+		}
+		st.Sets += len(sh.sets)
+		for _, ts := range sh.sets {
+			st.Targets += len(ts)
+		}
+		sh.mu.RUnlock()
+	}
+	// A map entry costs about twice its key and value once load factor
+	// and control bytes count; a stored set is a slice header, an
+	// intern entry and its ids.
+	st.Bytes = 16*st.Pairs + (24+24)*st.Sets + 4*st.Targets
+	return st
+}
+
+// ResolveBatch resolves a whole slice of call sites, appending one
+// Resolution per site to out (out[i] answers sites[i]) and returning
+// it. Every site goes through the cache, so a pair that repeats —
+// hot (type, member) pairs repeat millions of times in real call-site
+// streams — walks its cone at most once per Resolver once cached.
+// Sites fan out over work-stealing workers in contiguous chunks when
+// Workers allows.
+func (r *Resolver) ResolveBatch(sites []Site, out []Resolution) []Resolution {
+	out = slices.Grow(out, len(sites))
+	dst := out[len(out) : len(out)+len(sites)]
+	out = out[:len(out)+len(sites)]
+
+	const chunk = 64
+	chunks := (len(sites) + chunk - 1) / chunk
 	workers := r.Workers
-	if workers == 0 && len(groups) >= 64 {
-		// Auto: one worker per ~32 groups, bounded by the machine.
-		workers = len(groups) / 32
-		if p := runtime.GOMAXPROCS(0); workers > p {
-			workers = p
-		}
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	resolveGroup := func(sc *resolveScratch, gr group) {
-		res := r.resolveOne(sc, chg.ClassID(gr.key%nc), chg.MemberID(gr.key/nc), 1)
-		for k := gr.lo; k < gr.hi; k++ {
-			dst[perm[k]] = res
-		}
-	}
+	workers = min(workers, chunks)
 	if workers <= 1 {
-		for _, gr := range groups {
-			resolveGroup(sc, gr)
+		sc := r.scratch.Get().(*walkScratch)
+		defer r.scratch.Put(sc)
+		for i, s := range sites {
+			dst[i] = r.resolve(sc, s.Class, s.Member)
 		}
 		return out
 	}
 
-	// Work-stealing over small contiguous chunks of groups. Each
-	// group writes a disjoint set of dst positions, so workers never
-	// race on results; cell fills race benignly under the engine's
-	// shard locks.
-	const chunk = 8
-	chunks := (len(groups) + chunk - 1) / chunk
-	if workers > chunks {
-		workers = chunks
-	}
+	// Each site writes its own dst slot, so workers never race on
+	// results; cell fills and cache stores synchronize under the
+	// engine's and the cache's shard locks.
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			wsc := r.scratch.Get().(*resolveScratch)
-			defer r.scratch.Put(wsc)
+			sc := r.scratch.Get().(*walkScratch)
+			defer r.scratch.Put(sc)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= chunks {
 					return
 				}
-				lo := i * chunk
-				hi := lo + chunk
-				if hi > len(groups) {
-					hi = len(groups)
-				}
-				for _, gr := range groups[lo:hi] {
-					resolveGroup(wsc, gr)
+				for k := i * chunk; k < min((i+1)*chunk, len(sites)); k++ {
+					dst[k] = r.resolve(sc, sites[k].Class, sites[k].Member)
 				}
 			}
 		}()

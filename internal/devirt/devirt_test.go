@@ -2,7 +2,9 @@ package devirt
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"cpplookup/internal/chg"
@@ -88,59 +90,113 @@ func sameTargets(a, b []chg.ClassID) bool {
 	return true
 }
 
+// checkAgainstOracle pins every (class, member) resolution of g, under
+// all three backends, against the brute-force oracle: a default
+// resolver and a FullStats one queried in id order, and cache-every-walk
+// resolvers (memoMinReads 0) queried in id order and descendants-first,
+// where each walk must stop at the already cached direct derived
+// classes, then queried again warm.
 func checkAgainstOracle(t *testing.T, g *chg.Graph, name string) {
 	t.Helper()
+	old := memoMinReads
+	defer func() { memoMinReads = old }()
+
 	snap := engine.NewSnapshot(g, core.WithSemantics(core.SemC3, core.SemGxx))
+	nc, nm := g.NumClasses(), g.NumMemberNames()
+	idOrder := make([]chg.ClassID, nc)
+	for c := range idOrder {
+		idOrder[c] = chg.ClassID(c)
+	}
+	descFirst := slices.Clone(g.Topo())
+	slices.Reverse(descFirst)
+
 	for _, sem := range allSems {
-		r, err := New(snap, sem)
-		if err != nil {
-			t.Fatal(err)
+		want := make([]Resolution, nc*nm)
+		for c := 0; c < nc; c++ {
+			for m := 0; m < nm; m++ {
+				want[c*nm+m] = oracleTargets(t, snap, sem, chg.ClassID(c), chg.MemberID(m))
+			}
 		}
-		full, err := New(snap, sem)
-		if err != nil {
-			t.Fatal(err)
+		newResolver := func() *Resolver {
+			r, err := New(snap, sem)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
 		}
-		full.FullStats = true
-		for c := 0; c < g.NumClasses(); c++ {
-			for m := 0; m < g.NumMemberNames(); m++ {
-				cid, mid := chg.ClassID(c), chg.MemberID(m)
-				want := oracleTargets(t, snap, sem, cid, mid)
-				got := r.ResolveTargets(cid, mid)
-				if !sameTargets(got.Targets, want.Targets) {
-					t.Fatalf("%s/%s: targets of (%s, %s) = %v, want %v (fastpath=%v)",
-						name, sem, g.Name(cid), g.MemberName(mid), got.Targets, want.Targets, got.FastPath)
-				}
-				if got.Cone != want.Cone {
-					t.Fatalf("%s/%s: cone of (%s, %s) = %d, want %d",
-						name, sem, g.Name(cid), g.MemberName(mid), got.Cone, want.Cone)
-				}
-				if got.Monomorphic != want.Monomorphic {
-					t.Fatalf("%s/%s: monomorphic mismatch at (%s, %s)",
-						name, sem, g.Name(cid), g.MemberName(mid))
-				}
-				// The exact-tally path must agree with the oracle on
-				// every count, and the counts must cover the cone.
-				fres := full.ResolveTargets(cid, mid)
-				if fres.FastPath {
-					t.Fatalf("%s/%s: FullStats resolver took the fast path", name, sem)
-				}
-				if !sameTargets(fres.Targets, want.Targets) ||
-					fres.Resolved != want.Resolved || fres.Undefined != want.Undefined ||
-					fres.Ambiguous != want.Ambiguous || fres.Failed != want.Failed {
-					t.Fatalf("%s/%s: FullStats tallies of (%s, %s) = %+v, want %+v",
-						name, sem, g.Name(cid), g.MemberName(mid), fres, want)
-				}
-				if sum := fres.Resolved + fres.Undefined + fres.Ambiguous + fres.Failed; sum != fres.Cone {
-					t.Fatalf("%s/%s: tallies sum to %d over a %d-cone", name, sem, sum, fres.Cone)
+		// pass resolves every pair in class order and checks the
+		// answers; hook, when set, runs before each resolution.
+		pass := func(label string, r *Resolver, order []chg.ClassID, hook func(chg.ClassID, chg.MemberID)) {
+			t.Helper()
+			for _, cid := range order {
+				for m := 0; m < nm; m++ {
+					mid := chg.MemberID(m)
+					if hook != nil {
+						hook(cid, mid)
+					}
+					w := want[int(cid)*nm+m]
+					got := r.ResolveTargets(cid, mid)
+					if !sameTargets(got.Targets, w.Targets) || got.Monomorphic != w.Monomorphic {
+						t.Fatalf("%s/%s/%s: targets of (%s, %s) = %v, want %v (cache hit %v)",
+							name, sem, label, g.Name(cid), g.MemberName(mid), got.Targets, w.Targets, got.FastPath)
+					}
+					if r.FullStats {
+						// The exact-tally path must agree with the
+						// oracle on every count, and the counts must
+						// cover the cone.
+						if got.FastPath || got.Cone != w.Cone || got.Resolved != w.Resolved ||
+							got.Undefined != w.Undefined || got.Ambiguous != w.Ambiguous || got.Failed != w.Failed {
+							t.Fatalf("%s/%s/%s: FullStats resolution of (%s, %s) = %+v, want %+v",
+								name, sem, label, g.Name(cid), g.MemberName(mid), got, w)
+						}
+						if sum := got.Resolved + got.Undefined + got.Ambiguous + got.Failed; sum != got.Cone {
+							t.Fatalf("%s/%s: tallies sum to %d over a %d-cone", name, sem, sum, got.Cone)
+						}
+					} else if got.Cone != 0 || got.Resolved != 0 || got.Undefined != 0 || got.Ambiguous != 0 || got.Failed != 0 {
+						t.Fatalf("%s/%s/%s: resolution of (%s, %s) reports tallies without FullStats: %+v",
+							name, sem, label, g.Name(cid), g.MemberName(mid), got)
+					}
 				}
 			}
 		}
+
+		pass("default", newResolver(), idOrder, nil)
+		full := newResolver()
+		full.FullStats = true
+		pass("fullstats", full, idOrder, nil)
+
+		memoMinReads = 0
+		pass("cached/id-order", newResolver(), idOrder, nil)
+		r := newResolver()
+		pass("cached/descendants-first", r, descFirst, func(c chg.ClassID, m chg.MemberID) {
+			if n := walkReads(r, c, m); n != 1 {
+				t.Fatalf("%s/%s: walk of (%s, %s) read %d cells with every direct derived class cached, want 1",
+					name, sem, g.Name(c), g.MemberName(m), n)
+			}
+		})
+		pass("cached/warm", r, idOrder, func(c chg.ClassID, m chg.MemberID) {
+			if !r.ResolveTargets(c, m).FastPath {
+				t.Fatalf("%s/%s: warm resolution of (%s, %s) missed the cache", name, sem, g.Name(c), g.MemberName(m))
+			}
+		})
+		memoMinReads = old
 	}
+}
+
+// walkReads runs r's cache-aware walk of (c, m) without storing the
+// result and returns how many lookup cells it read.
+func walkReads(r *Resolver, c chg.ClassID, m chg.MemberID) int {
+	sc := r.scratch.Get().(*walkScratch)
+	defer r.scratch.Put(sc)
+	sh := &r.cache[int(m)%cacheShards]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return r.walk(sc, c, m, sh.pairs[m], sh, nil)
 }
 
 // TestResolveTargetsOracle pins ResolveTargets against the
 // brute-force oracle on every fixture and seeded generator, all three
-// backends, with and without FullStats.
+// backends, with and without FullStats and the cache.
 func TestResolveTargetsOracle(t *testing.T) {
 	for name, build := range testGraphs() {
 		name, build := name, build
@@ -148,16 +204,15 @@ func TestResolveTargetsOracle(t *testing.T) {
 	}
 }
 
-// TestResolveTargetsOracleSparseCones reruns the oracle pinning with
-// the graphs built past a lowered DenseClosureLimit, so cones come
-// from the BFS path of chg.EachDescendant instead of closure rows.
+// TestResolveTargetsOracleSparseCones reruns the oracle pinning on
+// every fixture built past a lowered DenseClosureLimit, so the
+// oracle's IsBase probes take the sparse closure path.
 func TestResolveTargetsOracleSparseCones(t *testing.T) {
 	old := chg.DenseClosureLimit
 	chg.DenseClosureLimit = 1
 	defer func() { chg.DenseClosureLimit = old }()
 
-	for _, name := range []string{"figure9", "random", "giant"} {
-		build := testGraphs()[name]
+	for name, build := range testGraphs() {
 		t.Run(name, func(t *testing.T) {
 			g := build()
 			if !g.SparseClosures() {
@@ -170,7 +225,8 @@ func TestResolveTargetsOracleSparseCones(t *testing.T) {
 
 // TestResolveBatch checks the batch path against the single-site one:
 // duplicated shuffled sites (plus invalid ids) under Workers 1 and 4,
-// every site's Resolution equal to its ResolveTargets answer.
+// and with FullStats, every site's Resolution equal to its
+// ResolveTargets answer.
 func TestResolveBatch(t *testing.T) {
 	g := testGraphs()["giant"]()
 	snap := engine.NewSnapshot(g, core.WithSemantics(core.SemC3, core.SemGxx))
@@ -189,12 +245,16 @@ func TestResolveBatch(t *testing.T) {
 	rng.Shuffle(len(sites), func(i, j int) { sites[i], sites[j] = sites[j], sites[i] })
 
 	for _, sem := range allSems {
-		for _, workers := range []int{1, 4} {
+		for _, c := range []struct {
+			workers int
+			full    bool
+		}{{1, false}, {4, false}, {4, true}} {
+			workers := c.workers
 			r, err := New(snap, sem)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r.Workers = workers
+			r.Workers, r.FullStats = workers, c.full
 			got := r.ResolveBatch(sites, nil)
 			if len(got) != len(sites) {
 				t.Fatalf("%d resolutions for %d sites", len(got), len(sites))
@@ -203,6 +263,7 @@ func TestResolveBatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			single.FullStats = c.full
 			for i, s := range sites {
 				want := single.ResolveTargets(s.Class, s.Member)
 				if got[i].Root != s.Class || got[i].Member != s.Member {
@@ -210,8 +271,8 @@ func TestResolveBatch(t *testing.T) {
 						sem, workers, i, got[i].Root, got[i].Member, s.Class, s.Member)
 				}
 				if !sameTargets(got[i].Targets, want.Targets) || got[i].Cone != want.Cone ||
-					got[i].Monomorphic != want.Monomorphic {
-					t.Fatalf("%s w=%d: batch resolution %d disagrees with ResolveTargets", sem, workers, i)
+					got[i].Resolved != want.Resolved || got[i].Monomorphic != want.Monomorphic {
+					t.Fatalf("%s w=%d full=%v: batch resolution %d disagrees with ResolveTargets", sem, workers, c.full, i)
 				}
 			}
 		}
@@ -241,5 +302,73 @@ func TestResolveBatchAppend(t *testing.T) {
 	}
 	if got := r.ResolveBatch(nil, nil); len(got) != 0 {
 		t.Fatal("empty batch produced resolutions")
+	}
+}
+
+// TestConcurrentCacheShared races ResolveBatch and ResolveTargets
+// callers over one resolver whose cache stores every walk: each
+// answer must equal a FullStats resolver's, whichever goroutine
+// cached the pair or the descendants its walk stopped at. Run it
+// under -race.
+func TestConcurrentCacheShared(t *testing.T) {
+	old := memoMinReads
+	memoMinReads = 0
+	defer func() { memoMinReads = old }()
+
+	g := testGraphs()["giant"]()
+	snap := engine.NewSnapshot(g, core.WithSemantics(core.SemC3, core.SemGxx))
+	nc, nm := g.NumClasses(), g.NumMemberNames()
+	for _, sem := range allSems {
+		full, err := New(snap, sem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full.FullStats = true
+		want := make([][]chg.ClassID, nc*nm)
+		for c := 0; c < nc; c++ {
+			for m := 0; m < nm; m++ {
+				want[c*nm+m] = full.ResolveTargets(chg.ClassID(c), chg.MemberID(m)).Targets
+			}
+		}
+		check := func(s Site, got Resolution) {
+			if !sameTargets(got.Targets, want[int(s.Class)*nm+int(s.Member)]) {
+				t.Errorf("%s: targets of (%s, %s) = %v, want %v", sem,
+					g.Name(s.Class), g.MemberName(s.Member), got.Targets, want[int(s.Class)*nm+int(s.Member)])
+			}
+		}
+
+		r, err := New(snap, sem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Workers = 2
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			rng := rand.New(rand.NewSource(int64(w)))
+			sites := make([]Site, 0, nc*nm)
+			for c := 0; c < nc; c++ {
+				for m := 0; m < nm; m++ {
+					sites = append(sites, Site{chg.ClassID(c), chg.MemberID(m)})
+				}
+			}
+			rng.Shuffle(len(sites), func(i, j int) { sites[i], sites[j] = sites[j], sites[i] })
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if w%2 == 0 {
+					for i, res := range r.ResolveBatch(sites, nil) {
+						check(sites[i], res)
+					}
+					return
+				}
+				for _, s := range sites {
+					check(s, r.ResolveTargets(s.Class, s.Member))
+				}
+			}()
+		}
+		wg.Wait()
+		if st := r.CacheStats(); st.Pairs != nc*nm || st.Sets == 0 || st.Sets > st.Pairs || st.Bytes <= 0 {
+			t.Errorf("%s: cache stats %+v after resolving all %d pairs", sem, st, nc*nm)
+		}
 	}
 }

@@ -42,7 +42,10 @@ func TestMeasureDevirtSmall(t *testing.T) {
 	if stats.Monomorphic == 0 {
 		t.Fatal("no monomorphic sites on a Giant shape")
 	}
-	if stats.FastPath == 0 {
-		t.Fatal("fast path never fired on a Zipf stream")
+	if stats.CacheHits == 0 {
+		t.Fatal("the target-set cache never answered on a Zipf stream")
+	}
+	if stats.CacheMismatches != 0 {
+		t.Fatalf("%d sites answered differently by a warm resolver", stats.CacheMismatches)
 	}
 }
