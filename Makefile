@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint check verify golden golden-check bench-json bench-check scale-smoke devirt-smoke
+.PHONY: build test race vet lint check verify golden golden-check bench-json bench-check scale-smoke devirt-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -49,6 +49,12 @@ scale-smoke:
 # baseline and the monomorphic/fast-path counts are non-degenerate.
 devirt-smoke:
 	$(GO) run ./cmd/benchjson -devirt-smoke
+
+# The CI-sized fuzz gate: 20s of arbitrary workspace edit sequences,
+# checking the edit log and every invalidation cone against the
+# frozen graph's closure.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzWorkspaceEdits$$' -fuzztime 20s ./internal/incremental
 
 # Fail if the checked-in benchmark JSON snapshots no longer match the
 # current benchmark families structurally (configs/strategies renamed

@@ -1,13 +1,14 @@
 // incremental simulates an IDE editing session: the hierarchy is
 // built class by class, members are added and removed between
-// queries, and the incremental workspace keeps lookup answers valid
-// while recomputing only what each edit can affect.
+// queries, and each Sync republishes the workspace through the
+// engine, carrying every cached answer an edit cannot have changed.
 package main
 
 import (
 	"fmt"
 
 	"cpplookup/internal/chg"
+	"cpplookup/internal/engine"
 	"cpplookup/internal/incremental"
 )
 
@@ -29,27 +30,31 @@ func main() {
 	}
 	shape := must(ws.AddClass("Shape", []incremental.BaseDecl{{Class: object}}))
 	circle := must(ws.AddClass("Circle", []incremental.BaseDecl{{Class: shape}}))
-	square := must(ws.AddClass("Square", []incremental.BaseDecl{{Class: shape}}))
+	must(ws.AddClass("Square", []incremental.BaseDecl{{Class: shape}}))
+
+	binding, _, err := engine.New().BindWorkspace("session", ws)
+	if err != nil {
+		panic(err)
+	}
 
 	show := func(when string) {
+		snap := must(binding.Sync())
 		fmt.Printf("%s:\n", when)
-		for _, c := range []chg.ClassID{circle, square} {
-			r := ws.Lookup(c, "describe")
-			name := map[chg.ClassID]string{circle: "Circle", square: "Square"}[c]
+		for _, name := range []string{"Object", "Shape", "Circle", "Square"} {
+			r := snap.LookupByName(name, "describe")
 			if r.Found() {
-				owner := map[chg.ClassID]string{object: "Object", shape: "Shape", circle: "Circle", square: "Square"}[r.Class()]
-				fmt.Printf("  %s.describe() -> %s::describe\n", name, owner)
+				fmt.Printf("  %s.describe() -> %s::describe\n", name, snap.Graph().Name(r.Class()))
 			} else {
 				fmt.Printf("  %s.describe() -> ambiguous or missing\n", name)
 			}
 		}
-		s := ws.Stats()
-		fmt.Printf("  cache: %d hits, %d misses, %d invalidations\n\n", s.Hits, s.Misses, s.Invalidations)
+		c := snap.Carry()
+		fmt.Printf("  carry: %d cells carried, %d invalidated\n\n", c.Carried, c.Invalidated)
 	}
 
-	show("initial (both inherit Object::describe)")
+	show("initial (all inherit Object::describe)")
 
-	// Edit 1: override in Shape. Only the Shape cone is recomputed.
+	// Edit 1: override in Shape. Only the Shape cone is invalidated.
 	if err := ws.AddMember(shape, method("describe")); err != nil {
 		panic(err)
 	}

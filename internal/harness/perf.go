@@ -17,6 +17,7 @@ import (
 	"cpplookup/internal/core"
 	"cpplookup/internal/cpp/parser"
 	"cpplookup/internal/cpp/sema"
+	"cpplookup/internal/engine"
 	"cpplookup/internal/gxx"
 	"cpplookup/internal/hiergen"
 	"cpplookup/internal/incremental"
@@ -400,9 +401,11 @@ func RunA3(w io.Writer) error {
 	return nil
 }
 
-// RunA4 measures the incremental-maintenance extension
-// (internal/incremental): after an edit, how much is recomputed and
-// how does edit+relookup compare to a batch rebuild.
+// RunA4 measures the incremental-maintenance extension: a workspace
+// (internal/incremental) bound to an engine, where each Sync carries
+// every cached cell outside the edit's invalidation cone. It reports
+// how much an edit invalidates and recomputes, and how
+// edit+sync+relookup compares to a batch rebuild.
 func RunA4(w io.Writer) error {
 	const depth = 200
 	build := func() (*incremental.Workspace, []chg.ClassID) {
@@ -425,42 +428,54 @@ func RunA4(w io.Writer) error {
 		}
 		return ws, ids
 	}
+	// bind publishes ws and warms every (class, m) cell.
+	bind := func(ws *incremental.Workspace, ids []chg.ClassID) (*engine.WorkspaceBinding, chg.MemberID) {
+		b, snap, err := engine.New().BindWorkspace("a4", ws)
+		if err != nil {
+			panic(err)
+		}
+		m := snap.Graph().MustMemberID("m")
+		for _, c := range ids {
+			snap.Lookup(c, m)
+		}
+		return b, m
+	}
+	// resync publishes the edits and requeries every class.
+	resync := func(b *engine.WorkspaceBinding, ids []chg.ClassID, m chg.MemberID) *engine.Snapshot {
+		snap, err := b.Sync()
+		if err != nil {
+			panic(err)
+		}
+		for _, c := range ids {
+			snap.Lookup(c, m)
+		}
+		return snap
+	}
 
 	// Recomputation cone: edit at depth d → depth-d entries recomputed.
 	ws, ids := build()
-	for _, c := range ids {
-		ws.Lookup(c, "m")
-	}
+	b, m := bind(ws, ids)
 	t := newTable("edit at depth", "entries invalidated", "entries recomputed")
 	for _, d := range []int{50, 150, 199} {
-		before := ws.Stats()
 		if err := ws.AddMember(ids[d], chg.Member{Name: "m", Kind: chg.Method}); err != nil {
 			return err
 		}
-		for _, c := range ids {
-			ws.Lookup(c, "m")
-		}
-		mid := ws.Stats()
-		t.add(d, mid.Invalidations-before.Invalidations, mid.Misses-before.Misses)
+		snap := resync(b, ids, m)
+		carry := snap.Carry()
+		t.add(d, carry.Invalidated, snap.CachedEntries()-carry.Carried)
 		if err := ws.RemoveMember(ids[d], "m"); err != nil {
 			return err
 		}
-		for _, c := range ids {
-			ws.Lookup(c, "m")
-		}
+		resync(b, ids, m)
 	}
 	t.write(w)
 
 	// Throughput: toggle an override at depth 150 and re-query all.
 	incT := timePerOp(measureBudget, func() {
 		w2, ids2 := build()
-		for _, c := range ids2 {
-			w2.Lookup(c, "m")
-		}
+		b2, m2 := bind(w2, ids2)
 		w2.AddMember(ids2[150], chg.Member{Name: "m", Kind: chg.Method})
-		for _, c := range ids2 {
-			w2.Lookup(c, "m")
-		}
+		resync(b2, ids2, m2)
 	})
 	batchT := timePerOp(measureBudget, func() {
 		w2, ids2 := build()

@@ -81,9 +81,8 @@ func ScaleConfigs() []ScaleConfig {
 
 // ScaleSmokeConfig returns the bounded CI configuration: a 20k-class
 // streaming build and a 100-edit bulk-carry session, small enough for
-// a CI worker but large enough to cross chg.DenseClosureLimit and
-// incremental.LazyConeLimit, so the sparse-closure and lazy-cone
-// paths run on every push.
+// a CI worker but large enough to cross chg.DenseClosureLimit, so
+// the sparse-closure path runs on every push.
 func ScaleSmokeConfig() ScaleConfig {
 	return ScaleConfig{Name: "giant-20k-smoke", Classes: 20_000, Edits: 100, Batch: 20, SerialProbe: 0}
 }

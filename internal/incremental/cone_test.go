@@ -5,48 +5,133 @@ import (
 	"math/rand"
 	"testing"
 
+	"cpplookup/internal/bitset"
 	"cpplookup/internal/chg"
-	"cpplookup/internal/core"
 )
 
-// The incrementally maintained descendant sets must agree with the
-// closure the frozen graph computes from scratch, at every point of a
-// random edit script.
-func TestDescendantSetsMatchFrozenClosure(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for script := 0; script < 10; script++ {
-		w := New()
-		var ids []chg.ClassID
-		for step := 0; step < 40; step++ {
-			var bases []BaseDecl
-			if len(ids) > 0 {
-				n := rng.Intn(min(3, len(ids)) + 1)
-				perm := rng.Perm(len(ids))
-				for i := 0; i < n; i++ {
-					bases = append(bases, BaseDecl{Class: ids[perm[i]], Virtual: rng.Float64() < 0.3})
-				}
+// buildScripted defines a deterministic random hierarchy of the given
+// size in a fresh workspace.
+func buildScripted(seed int64, classes int) (*Workspace, []chg.ClassID) {
+	rng := rand.New(rand.NewSource(seed))
+	w := New()
+	var ids []chg.ClassID
+	for i := 0; i < classes; i++ {
+		var bases []BaseDecl
+		if len(ids) > 0 {
+			n := rng.Intn(min(3, len(ids)) + 1)
+			perm := rng.Perm(len(ids))
+			for j := 0; j < n; j++ {
+				bases = append(bases, BaseDecl{Class: ids[perm[j]], Virtual: rng.Float64() < 0.3})
 			}
-			id, err := w.AddClass(fmt.Sprintf("D%d_%d", script, step), bases)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids = append(ids, id)
 		}
+		id, err := w.AddClass(fmt.Sprintf("C%d", i), bases)
+		if err != nil {
+			panic(err)
+		}
+		ids = append(ids, id)
+	}
+	return w, ids
+}
+
+// toggle adds name to c if c does not declare it, else removes it.
+func toggle(t *testing.T, w *Workspace, c chg.ClassID, name string) {
+	t.Helper()
+	var err error
+	if w.DeclaresName(c, name) {
+		err = w.RemoveMember(c, name)
+	} else {
+		err = w.AddMember(c, chg.Member{Name: name, Kind: chg.Method})
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// closureCone is the reference cone of edits at seeds: seeds ∪ their
+// strict descendants, read off the frozen graph's closure.
+func closureCone(g *chg.Graph, seeds ...chg.ClassID) string {
+	s := bitset.New(g.NumClasses())
+	for _, c := range seeds {
+		s.Add(int(c))
+		s.UnionWith(g.Descendants(c))
+	}
+	return fmt.Sprint(s.Elems())
+}
+
+// The derived-list BFS must agree with the closure the frozen graph
+// computes from scratch, for every class of random hierarchies.
+func TestDescendantSetsMatchFrozenClosure(t *testing.T) {
+	for script := int64(0); script < 10; script++ {
+		w, ids := buildScripted(42+script, 40)
 		g, err := w.Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, c := range ids {
-			got := w.Descendants(c).Elems()
-			want := g.Descendants(c).Elems()
-			if len(got) != len(want) {
-				t.Fatalf("script %d: Descendants(%s): incremental %v vs closure %v", script, g.Name(c), got, want)
+			s := bitset.New(len(w.names))
+			w.coneFrom(s, []chg.ClassID{c})
+			if got, want := fmt.Sprint(s.Elems()), closureCone(g, c); got != want {
+				t.Fatalf("script %d: cone(%s): BFS %v vs closure %v", script, g.Name(c), got, want)
 			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("script %d: Descendants(%s): incremental %v vs closure %v", script, g.Name(c), got, want)
-				}
+		}
+	}
+}
+
+// Every single member edit at (X, m) must yield exactly one cone, for
+// m, equal to {X} ∪ descendants(X) on the frozen graph.
+func TestLazyConesMatchEager(t *testing.T) {
+	names := []string{"m0", "m1", "m2", "m3"}
+	for _, seed := range []int64{11, 12, 13} {
+		w, ids := buildScripted(seed, 50)
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < 120; i++ {
+			c, name := ids[rng.Intn(len(ids))], names[rng.Intn(len(names))]
+			prev := w.Generation()
+			toggle(t, w, c, name)
+			g, err := w.Snapshot()
+			if err != nil {
+				t.Fatal(err)
 			}
+			cones, ok := w.InvalidationConeSince(prev)
+			if !ok || len(cones) != 1 || cones[0].Member != w.memberIDs[name] {
+				t.Fatalf("seed %d edit %d: cones = %v, ok = %v; want one cone for %s", seed, i, cones, ok, name)
+			}
+			if got, want := fmt.Sprint(cones[0].Classes.Elems()), closureCone(g, c); got != want {
+				t.Fatalf("seed %d edit %d: cone(%s, %s) = %v, closure %v", seed, i, g.Name(c), name, got, want)
+			}
+		}
+	}
+}
+
+// A window of many edits must give, per member, the union of the
+// closure cones of every edited class — including members edited many
+// times in the window.
+func TestInvalidationConeSinceLazyMatchesEager(t *testing.T) {
+	w, ids := buildScripted(77, 40)
+	rng := rand.New(rand.NewSource(5))
+	names := []string{"a", "b", "c"}
+	since := w.Generation()
+	seeds := map[string][]chg.ClassID{}
+	for i := 0; i < 60; i++ {
+		c, name := ids[rng.Intn(len(ids))], names[rng.Intn(len(names))]
+		toggle(t, w, c, name)
+		seeds[name] = append(seeds[name], c)
+	}
+	g, err := w.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cones, ok := w.InvalidationConeSince(since)
+	if !ok || len(cones) != len(seeds) {
+		t.Fatalf("cones = %d, ok = %v; want %d member cones", len(cones), ok, len(seeds))
+	}
+	for i, mc := range cones {
+		if i > 0 && cones[i-1].Member >= mc.Member {
+			t.Fatalf("cones not sorted by member: %d then %d", cones[i-1].Member, mc.Member)
+		}
+		name := w.memberNames[mc.Member]
+		if got, want := fmt.Sprint(mc.Classes.Elems()), closureCone(g, seeds[name]...); got != want {
+			t.Fatalf("cone for %s: %v, closure %v", name, got, want)
 		}
 	}
 }
@@ -126,123 +211,6 @@ func TestInvalidationConeSince(t *testing.T) {
 	if cones, ok = w.InvalidationConeSince(recent); !ok || len(cones) != 1 {
 		t.Errorf("recent window after trim: got %v, %v", cones, ok)
 	}
-}
-
-// A 10k-edit session with heavy payload churn must keep the pool
-// bounded: invalidated blue sets become garbage, and freeze-time
-// compaction chains to a fresh pool before the garbage outgrows the
-// threshold regime. Without compaction the pool would grow with the
-// number of distinct blue sets ever produced (thousands here).
-func TestPoolBoundedAcrossLongEditSession(t *testing.T) {
-	w := New()
-	const roots = 16
-	var rs []chg.ClassID
-	var decls []BaseDecl
-	for i := 0; i < roots; i++ {
-		r, err := w.AddClass(fmt.Sprintf("R%d", i), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs = append(rs, r)
-		decls = append(decls, BaseDecl{Class: r, Virtual: true})
-	}
-	leaf, err := w.AddClass("Leaf", decls)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rng := rand.New(rand.NewSource(7))
-	declared := make([]bool, roots)
-	method := chg.Member{Name: "m", Kind: chg.Method}
-	for edit := 0; edit < 10000; edit++ {
-		i := rng.Intn(roots)
-		if declared[i] {
-			if err := w.RemoveMember(rs[i], "m"); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			if err := w.AddMember(rs[i], method); err != nil {
-				t.Fatal(err)
-			}
-		}
-		declared[i] = !declared[i]
-		w.Lookup(leaf, "m") // produce (and cache) a blue/red payload
-		if edit%64 == 0 {
-			if _, err := w.Snapshot(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if _, err := w.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-
-	st := w.Stats()
-	if st.PoolCompactions == 0 {
-		t.Fatalf("no pool compaction happened in 10k edits (pool size %d)", w.PoolSize())
-	}
-	total := w.PoolSize() + st.PoolPayloadsDropped
-	if total < 1000 {
-		t.Fatalf("session generated only %d distinct payloads; churn too low to test boundedness", total)
-	}
-	// Retained payloads stay bounded by the compaction regime: the
-	// live set plus at most the garbage accumulated since the last
-	// freeze window. 10k edits with ~64 edits between freezes keeps
-	// this far below the thousands of payloads produced overall.
-	if w.PoolSize() > 1000 {
-		t.Errorf("pool retained %d payloads after 10k edits (dropped %d, compactions %d); not bounded",
-			w.PoolSize(), st.PoolPayloadsDropped, st.PoolCompactions)
-	}
-	checkAgainstBatch(t, w, "after 10k-edit session")
-}
-
-// Compacting the pool must not change any cached answer.
-func TestPoolCompactionPreservesResults(t *testing.T) {
-	old := poolCompactMinGarbage
-	poolCompactMinGarbage = 1
-	defer func() { poolCompactMinGarbage = old }()
-
-	w := New()
-	const roots = 10
-	var rs []chg.ClassID
-	var decls []BaseDecl
-	for i := 0; i < roots; i++ {
-		r, _ := w.AddClass(fmt.Sprintf("A%d", i), nil)
-		rs = append(rs, r)
-		decls = append(decls, BaseDecl{Class: r, Virtual: true})
-	}
-	d, _ := w.AddClass("D", decls)
-	method := chg.Member{Name: "m", Kind: chg.Method}
-	w.AddMember(rs[0], method)
-	w.AddMember(rs[1], method)
-	if r := w.Lookup(d, "m"); r.Kind() != core.BlueKind {
-		t.Fatalf("lookup(D, m) = %v, want blue", r)
-	}
-
-	// Churn distinct payloads into garbage: each round declares a
-	// member in a different pair of virtual roots, so each blue set
-	// {R_i, R_i+1} is a distinct interned payload, then invalidates it.
-	for i := 0; i+1 < roots; i++ {
-		name := fmt.Sprintf("x%d", i)
-		mem := chg.Member{Name: name, Kind: chg.Method}
-		w.AddMember(rs[i], mem)
-		w.AddMember(rs[i+1], mem)
-		w.Lookup(d, name)
-		w.RemoveMember(rs[i], name)
-		w.RemoveMember(rs[i+1], name)
-	}
-	before := w.Lookup(d, "m")
-	if _, err := w.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Stats().PoolCompactions == 0 {
-		t.Fatal("expected a compaction with threshold 1")
-	}
-	after := w.Lookup(d, "m")
-	if !after.Equal(before) {
-		t.Fatalf("compaction changed the answer: %v vs %v", after, before)
-	}
-	checkAgainstBatch(t, w, "after forced compaction")
 }
 
 func TestEditsSinceAndDeclaresName(t *testing.T) {
