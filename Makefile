@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint check verify golden golden-check bench-json bench-check scale-smoke devirt-smoke fuzz-smoke
+.PHONY: build test race vet lint check verify golden golden-check bench-json bench-check scale-smoke devirt-smoke fuzz-smoke compile-smoke
 
 build:
 	$(GO) build ./...
@@ -49,6 +49,18 @@ scale-smoke:
 # baseline and the monomorphic/fast-path counts are non-degenerate.
 devirt-smoke:
 	$(GO) run ./cmd/benchjson -devirt-smoke
+
+# The CI-sized compile gate: a 2000-class Giant unit through the whole
+# -save-image path (parse, sema, WarmAll, image write), then one lookup
+# served from the mapped image — the last (class, member) declaration
+# in the unit, which must come back red.
+compile-smoke:
+	$(GO) run ./cmd/hiergen -family giant -n 2000 -members 64 > /tmp/g.cpp
+	$(GO) run ./cmd/cpplookup -save-image /tmp/g.img /tmp/g.cpp
+	pair=$$(awk '/^struct /{c=$$2} /^\tvoid m[0-9]+\(\);/{m=$$2; sub(/\(\);/, "", m); p=c "::" m} END{print p}' /tmp/g.cpp); \
+	out=$$($(GO) run ./cmd/cpplookup -load-image /tmp/g.img -lookup "$$pair"); \
+	echo "$$out"; \
+	case "$$out" in *"= $$pair "*"[red ("*) ;; *) echo "compile-smoke: $$pair did not resolve red from the image" >&2; exit 1;; esac
 
 # The CI-sized fuzz gate: 20s of arbitrary workspace edit sequences,
 # checking the edit log and every invalidation cone against the

@@ -89,11 +89,39 @@ func (k *Kernel) BuildTableBatched(workers int) *Table {
 // blockScratch is one worker's reusable state: 64 packed-cell columns
 // (column j holds this block's member j results per class, zero =
 // not filled / undefined), the touched-class list for sparse clearing
-// between blocks, and the resolve temporaries.
+// between blocks, the resolve temporaries, and the extension memo.
 type blockScratch struct {
 	cols    []Cell // column j is cols[j*n : (j+1)*n]
 	touched []chg.ClassID
 	rs      resolveScratch
+
+	// memoKey/memoCell is the extension memo: the last sole-base
+	// extension of a pooled cell (a tracked path, static coverage, a
+	// blue set) and the cell it resolved to. Such an entry is as pure
+	// as extendInline's: with one contributor and no blue set to kill,
+	// lines [11]–[45] only extend the base's abstractions and path
+	// across the edge — no staticIn(·, m) test, no dominance test — so
+	// the result depends on (base cell, base, c) alone, whatever the
+	// member. On a repeat fillBlock skips resolveDeclared and its pool
+	// interning. One entry suffices: the members of one block that a
+	// class inherits from one declaration along one path arrive
+	// consecutively with the same base cell. A map over every
+	// extension ever seen was slower on the 20k-class Giant: it held
+	// ~1M keys for ~0.3M hits beyond the last-entry ones, and its
+	// probes cost more than they saved (DESIGN.md, "Warming a
+	// snapshot"). The memo lives for the whole build, across blocks
+	// and chunks; memoHits counts the resolves it saved, for tests.
+	memoKey  extendKey
+	memoCell Cell
+	memoHits int
+}
+
+// extendKey names one path extension: the sole contributing base's
+// cell src, reached from class c across its edge from base.
+type extendKey struct {
+	src  Cell
+	base chg.ClassID
+	c    chg.ClassID
 }
 
 func newBlockScratch(n int) *blockScratch {
@@ -129,8 +157,20 @@ func (k *Kernel) fillBlock(t *Table, mm, decl *bitset.Matrix, b int, sc *blockSc
 			declared := dw&(1<<uint(j)) != 0
 			col := sc.cols[j*n : (j+1)*n]
 			var cell Cell
+			var key extendKey
 			if !declared {
-				cell = singleRedFastPath(col, bases)
+				if src, e, ok := soleBase(col, bases); ok {
+					switch src.tag() {
+					case cellTagRed:
+						cell = extendInline(src, e)
+					case cellTagPooled:
+						key = extendKey{src: src, base: e.Base, c: c}
+						if key == sc.memoKey {
+							cell = sc.memoCell
+							sc.memoHits++
+						}
+					}
+				}
 			}
 			if cell == 0 {
 				m := first + chg.MemberID(j)
@@ -140,6 +180,9 @@ func (k *Kernel) fillBlock(t *Table, mm, decl *bitset.Matrix, b int, sc *blockSc
 					}
 					return UndefinedResult()
 				}, &sc.rs).Cell()
+				if key.src != 0 {
+					sc.memoKey, sc.memoCell = key, cell
+				}
 			}
 			col[int(c)] = cell
 			rs[idx] = cell
@@ -157,42 +200,41 @@ func (k *Kernel) fillBlock(t *Table, mm, decl *bitset.Matrix, b int, sc *blockSc
 	}
 }
 
-// singleRedFastPath handles the overwhelmingly common table entry
-// without the full resolve machinery: the class doesn't declare the
-// member and exactly one direct base defines it, with an inline red
-// (no static coverage, no tracked path — those are pooled cells)
-// result. Such an entry is the base's Def pushed through Definition
-// 15's ∘ operator, which on an inline cell is pure bit surgery: V
-// stays if it is a class, becomes the base on a virtual edge, stays Ω
-// otherwise. Returns 0 (never a valid cell) when the entry needs the
-// slow path: member declared here, several contributing bases, a blue
-// or pooled base result.
-func singleRedFastPath(col []Cell, bases []chg.Edge) Cell {
-	var found Cell
-	var virt bool
-	var base chg.ClassID
-	for _, e := range bases {
-		cc := col[e.Base]
+// soleBase returns the one direct base edge whose cell in col is
+// filled, with that cell; ok is false when no base or several bases
+// contribute (the latter needs real dominance work).
+func soleBase(col []Cell, bases []chg.Edge) (src Cell, e chg.Edge, ok bool) {
+	for _, b := range bases {
+		cc := col[b.Base]
 		if cc == 0 {
 			continue
 		}
-		if found != 0 {
-			return 0 // second contributor: real dominance work needed
+		if src != 0 {
+			return 0, chg.Edge{}, false
 		}
-		found, virt, base = cc, e.Kind == chg.Virtual, e.Base
+		src, e = cc, b
 	}
-	if found.tag() != cellTagRed {
-		return 0 // blue or pooled payload: slow path
-	}
-	if virt && uint64(found)&cellFieldMask == 0 {
+	return src, e, src != 0
+}
+
+// extendInline handles the overwhelmingly common table entry without
+// the full resolve machinery: the class doesn't declare the member and
+// its sole contributing base holds an inline red (no static coverage,
+// no tracked path). Such an entry is the base's Def pushed through
+// Definition 15's ∘ operator, which on an inline cell is pure bit
+// surgery: V stays if it is a class, becomes the base on a virtual
+// edge, stays Ω otherwise. Returns 0 (never a valid cell) when the
+// biased base id does not fit the word.
+func extendInline(src Cell, e chg.Edge) Cell {
+	if e.Kind == chg.Virtual && uint64(src)&cellFieldMask == 0 {
 		// V = Ω crossing a virtual edge becomes the base class.
-		vf, ok := biasID(base)
+		vf, ok := biasID(e.Base)
 		if !ok {
 			return 0
 		}
-		return found | Cell(vf)
+		return src | Cell(vf)
 	}
-	return found
+	return src
 }
 
 // memberLowerBound returns the first index of a sorted member list

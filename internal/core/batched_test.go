@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -75,6 +76,35 @@ func TestBatchedOnFigures(t *testing.T) {
 		want := NewKernel(tc.g, WithStaticRule(), WithTrackPaths()).BuildTable()
 		got := NewKernel(tc.g, WithStaticRule(), WithTrackPaths()).BuildTableBatched(3)
 		cellsEqual(t, tc.g, want, got, tc.name)
+	}
+}
+
+// memoShapes are the hierarchies where the block walk's extension memo
+// does most of its work: a Giant (deep override chains under fat
+// interfaces and virtual diamond towers) and seeded randoms dense in
+// virtual diamonds with static members, built under the static rule
+// with tracked paths so that nearly every sole-base entry extends a
+// pooled cell.
+func memoShapes() map[string]*chg.Graph {
+	cfg := hiergen.GiantDefaults(1200)
+	cfg.MemberNames = 150
+	gs := map[string]*chg.Graph{"giant": hiergen.Giant(cfg)}
+	for _, seed := range []int64{5, 61, 404} {
+		gs[fmt.Sprintf("vdiamond-%d", seed)] = hiergen.Random(hiergen.RandomConfig{
+			Classes: 90, MaxBases: 3, VirtualProb: 0.7,
+			MemberNames: 80, MemberProb: 0.06, StaticProb: 0.3, Seed: seed,
+		})
+	}
+	return gs
+}
+
+func TestBatchedMatchesBuildTableOnMemoShapes(t *testing.T) {
+	for name, g := range memoShapes() {
+		want := NewKernel(g, WithStaticRule(), WithTrackPaths()).BuildTable()
+		for _, workers := range []int{1, 2} {
+			got := NewKernel(g, WithStaticRule(), WithTrackPaths()).BuildTableBatched(workers)
+			cellsEqual(t, g, want, got, fmt.Sprintf("%s/workers=%d", name, workers))
+		}
 	}
 }
 

@@ -144,6 +144,13 @@ func (t *Table) LookupByName(class, member string) Result {
 // sorted by id. Shared slice; do not modify.
 func (t *Table) Members(c chg.ClassID) []chg.MemberID { return t.members[c] }
 
+// Row returns Members[c] and the packed cells parallel to it, over the
+// table's pool — the whole row in one call, for consumers that copy a
+// table into another store. Shared slices; do not modify.
+func (t *Table) Row(c chg.ClassID) ([]chg.MemberID, []Cell) {
+	return t.members[c], t.results[c]
+}
+
 // Graph returns the underlying CHG.
 func (t *Table) Graph() *chg.Graph { return t.g }
 

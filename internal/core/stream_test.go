@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -74,6 +75,16 @@ func TestStreamedOnFigures(t *testing.T) {
 		for _, budget := range streamBudgets(tc.g) {
 			got, _ := NewKernel(tc.g).BuildTableStreamed(StreamOptions{Workers: 2, MemoryBudget: budget})
 			cellsEqual(t, tc.g, want, got, tc.name)
+		}
+	}
+}
+
+func TestStreamedMatchesBatchedOnMemoShapes(t *testing.T) {
+	for name, g := range memoShapes() {
+		want := NewKernel(g, WithStaticRule(), WithTrackPaths()).BuildTableBatched(1)
+		for _, budget := range streamBudgets(g) {
+			got, _ := NewKernel(g, WithStaticRule(), WithTrackPaths()).BuildTableStreamed(StreamOptions{Workers: 2, MemoryBudget: budget})
+			cellsEqual(t, g, want, got, fmt.Sprintf("%s/budget=%d", name, budget))
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"cpplookup/internal/access"
+	"cpplookup/internal/bitset"
 	"cpplookup/internal/chg"
 	"cpplookup/internal/core"
 	"cpplookup/internal/cpp/ast"
@@ -96,7 +97,7 @@ type Unit struct {
 	globals    map[string]typeInfo
 	classPos   map[chg.ClassID]token.Pos // class-head positions
 	memberPos  map[typeKey]token.Pos     // member-declaration positions
-	table      *core.Table               // lazily built, for did-you-mean suggestions
+	visible    *bitset.Matrix            // Members[C] rows, lazily swept for did-you-mean suggestions
 }
 
 // ClassPos returns the source position of the class's definition. It
@@ -150,13 +151,16 @@ func DiagDescriptions() map[string]string {
 	}
 }
 
-// lookupTable lazily builds the whole-program table used by typo
-// suggestions (the Members[C] sets are exactly the candidate pools).
-func (u *Unit) lookupTable() *core.Table {
-	if u.table == nil {
-		u.table = core.New(u.Graph, core.WithStaticRule()).BuildTable()
+// visibleMembers returns Members[c], the candidate pool of a typo
+// suggestion, read off the lines [6]–[9] membership sweep of Figure 8
+// (core.MemberMatrix), which runs once, on the first unknown member.
+func (u *Unit) visibleMembers(c chg.ClassID) []chg.MemberID {
+	if u.visible == nil {
+		u.visible = core.MemberMatrix(u.Graph)
 	}
-	return u.table
+	var ms []chg.MemberID
+	u.visible.Row(int(c)).ForEach(func(m int) { ms = append(ms, chg.MemberID(m)) })
+	return ms
 }
 
 type typeKey struct {
@@ -868,7 +872,7 @@ func (u *Unit) resolveMember(pos token.Pos, ctx chg.ClassID, name string) (typeI
 // did-you-mean suggestion when one is plausible.
 func (u *Unit) unknownMemberMsg(ctx chg.ClassID, name string) string {
 	msg := fmt.Sprintf("no member named %s in %s", name, u.Graph.Name(ctx))
-	if s := suggest.Members(u.lookupTable(), ctx, name, 1); len(s) > 0 {
+	if s := suggest.Members(u.Graph, u.visibleMembers(ctx), name, 1); len(s) > 0 {
 		msg += fmt.Sprintf("; did you mean %s?", s[0])
 	}
 	return msg

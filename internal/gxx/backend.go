@@ -27,6 +27,8 @@ import (
 //	graph over limit  → FailKind blaming the context class: the
 //	                    baseline is exponential in the subobject
 //	                    graph, and beyond the limit it has no answer
+//	                    (m ∉ Members[c] stays Undefined, as in the
+//	                    table and the C3 backend)
 //
 // Subobject graphs are built once per context class and cached, so a
 // whole table row costs one graph plus one scan per member.
@@ -108,10 +110,34 @@ func (b *Backend) pack(r Result, tr Trace, sg *subobject.Graph) core.Result {
 func (b *Backend) Resolve(c chg.ClassID, m chg.MemberID, _ func(chg.ClassID) core.Result) core.Result {
 	sg, ok := b.graphFor(c)
 	if !ok {
+		if !b.memberOf(c, m) {
+			return core.UndefinedResult()
+		}
 		return b.pool.Fail(c)
 	}
 	r, tr := LookupTrace(sg, m)
 	return b.pack(r, tr, sg)
+}
+
+// memberOf reports m ∈ Members[c] — declared by c or by a class in its
+// base closure — by a walk up the direct bases. Used only on classes
+// over the limit, which have no subobject graph to scan.
+func (b *Backend) memberOf(c chg.ClassID, m chg.MemberID) bool {
+	seen := map[chg.ClassID]bool{c: true}
+	for stack := []chg.ClassID{c}; len(stack) > 0; {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if b.g.Declares(x, m) {
+			return true
+		}
+		for _, e := range b.g.DirectBases(x) {
+			if !seen[e.Base] {
+				seen[e.Base] = true
+				stack = append(stack, e.Base)
+			}
+		}
+	}
+	return false
 }
 
 // ResolveClass fills a whole table row from one cached subobject

@@ -1,6 +1,7 @@
 package gxx
 
 import (
+	"fmt"
 	"testing"
 
 	"cpplookup/internal/chg"
@@ -126,6 +127,43 @@ func TestBackendOverLimit(t *testing.T) {
 		m := chg.MemberID(mid)
 		if !tab.Lookup(c, m).Equal(be.Resolve(c, m, nil)) {
 			t.Errorf("table/backend disagree on %s::%s", g.Name(c), g.MemberName(m))
+		}
+	}
+}
+
+// TestBackendOverLimitNonMember pins the membership rule on an
+// over-limit class: a member the class cannot see is Undefined, not
+// Fail, exactly as in the table (which holds Members[C] only) and in
+// the C3 backend — so a per-cell fill and a whole-table warm of an
+// engine column agree on every cell.
+func TestBackendOverLimitNonMember(t *testing.T) {
+	b := chg.NewBuilder()
+	prev := b.Class("D0")
+	b.Method(prev, "m")
+	for i := 1; i <= 12; i++ {
+		l, r, j := b.Class(fmt.Sprintf("L%d", i)), b.Class(fmt.Sprintf("R%d", i)), b.Class(fmt.Sprintf("D%d", i))
+		b.Base(l, prev, chg.NonVirtual)
+		b.Base(r, prev, chg.NonVirtual)
+		b.Base(j, l, chg.NonVirtual)
+		b.Base(j, r, chg.NonVirtual)
+		prev = j
+	}
+	b.Method(b.Class("Other"), "elsewhere")
+	g := b.MustBuild()
+	be := NewBackend(g, nil, 64)
+	if r := be.Resolve(prev, g.MustMemberID("m"), nil); !r.Failed() {
+		t.Fatalf("D12::m = %v, want fail", r)
+	}
+	if r := be.Resolve(prev, g.MustMemberID("elsewhere"), nil); r.Kind() != core.Undefined {
+		t.Fatalf("D12::elsewhere = %v, want undefined", r)
+	}
+	tab := core.BuildSemTable(be, 0)
+	for c := 0; c < g.NumClasses(); c++ {
+		for m := 0; m < g.NumMemberNames(); m++ {
+			cid, mid := chg.ClassID(c), chg.MemberID(m)
+			if want, got := tab.Lookup(cid, mid), be.Resolve(cid, mid, nil); !want.Equal(got) {
+				t.Errorf("%s::%s: table %v, backend %v", g.Name(cid), g.MemberName(mid), want, got)
+			}
 		}
 	}
 }

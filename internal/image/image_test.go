@@ -182,6 +182,48 @@ func TestImageLazyFillAfterLoad(t *testing.T) {
 	}
 }
 
+// TestImageWarmAllAfterLoad warms a memory-mapped half-warm image:
+// WarmAll's block walk interns into the image's thawed pool (which is
+// the snapshot's kernel pool), its compare-and-swap stores land in the
+// mapping's private pages, and every cell then equals a per-cell fill
+// of a fresh snapshot.
+func TestImageWarmAllAfterLoad(t *testing.T) {
+	g := hiergen.Realistic(4, 3)
+	opts := []core.Option{core.WithSemantics(allBackends...), core.WithStaticRule(), core.WithTrackPaths()}
+	src := engine.NewSnapshot(g, opts...)
+	for m := 0; m < g.NumMemberNames(); m++ {
+		src.Lookup(0, chg.MemberID(m))
+	}
+	path := filepath.Join(t.TempDir(), "half.img")
+	if err := WriteFile(path, src); err != nil {
+		t.Fatalf("WriteFile: %v", err)
+	}
+	im, err := OpenFile(path)
+	if err != nil {
+		t.Fatalf("OpenFile: %v", err)
+	}
+	defer im.Close()
+	s := im.Snapshot()
+	if s.Pool() != s.Kernel().Pool() {
+		t.Fatal("mapped snapshot's pool differs from its kernel's pool")
+	}
+	s.WarmAll()
+	oracle := engine.NewSnapshot(g, opts...)
+	numM := g.NumMemberNames()
+	for _, col := range s.CopyColumns() {
+		for i, w := range col.Cells {
+			c, m := chg.ClassID(i/numM), chg.MemberID(i%numM)
+			if w == 0 {
+				t.Fatalf("%s: [%d,%d] left unfilled", col.ID, c, m)
+			}
+			want, _ := oracle.LookupSem(col.ID, c, m)
+			if got := s.Pool().View(core.Cell(w)); !want.Equal(got) {
+				t.Fatalf("%s: warmed [%d,%d] = %v, want %v", col.ID, c, m, got, want)
+			}
+		}
+	}
+}
+
 func TestImageTypedErrors(t *testing.T) {
 	snap := warmSnapshot(hiergen.Figure1())
 	good, err := Bytes(snap)

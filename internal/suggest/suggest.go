@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"cpplookup/internal/chg"
-	"cpplookup/internal/core"
 )
 
 // MaxDistance is the largest edit distance considered a plausible
@@ -18,11 +17,11 @@ import (
 // anything).
 const MaxDistance = 2
 
-// Members returns up to max member names visible in class c that are
+// Members returns up to max of the given member names — a class's
+// Members[C], the candidates for a typo in an access on it — that are
 // plausible corrections for `name`, best first. Ties break
 // alphabetically for determinism.
-func Members(t *core.Table, c chg.ClassID, name string, max int) []string {
-	g := t.Graph()
+func Members(g *chg.Graph, members []chg.MemberID, name string, max int) []string {
 	type cand struct {
 		name string
 		dist int
@@ -32,7 +31,7 @@ func Members(t *core.Table, c chg.ClassID, name string, max int) []string {
 	if len(name) <= 3 {
 		limit = 1
 	}
-	for _, m := range t.Members(c) {
+	for _, m := range members {
 		mn := g.MemberName(m)
 		if mn == name {
 			continue

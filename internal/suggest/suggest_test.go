@@ -54,18 +54,18 @@ func TestMembersSuggestions(t *testing.T) {
 	top := hiergen.RealisticTop(g, 2, 1)
 	// "rdstat" should suggest "rdstate" (inherited through the whole
 	// hierarchy — the candidate set is Members[C], not just M[C]).
-	got := Members(table, top, "rdstat", 3)
+	got := Members(g, table.Members(top), "rdstat", 3)
 	if len(got) == 0 || got[0] != "rdstate" {
 		t.Errorf("suggestions for rdstat = %v", got)
 	}
 	// An exact name never suggests itself.
-	for _, s := range Members(table, top, "rdstate", 5) {
+	for _, s := range Members(g, table.Members(top), "rdstate", 5) {
 		if s == "rdstate" {
 			t.Error("suggested the queried name itself")
 		}
 	}
 	// Nothing plausible → empty.
-	if got := Members(table, top, "zzzzzzzzz", 3); len(got) != 0 {
+	if got := Members(g, table.Members(top), "zzzzzzzzz", 3); len(got) != 0 {
 		t.Errorf("suggestions for gibberish = %v", got)
 	}
 }
@@ -79,7 +79,7 @@ func TestMembersShortNamesTightLimit(t *testing.T) {
 	table := core.New(g).BuildTable()
 	// With a 1-edit limit for short names, "ac" matches "ab" but not
 	// "qz".
-	got := Members(table, x, "ac", 5)
+	got := Members(g, table.Members(x), "ac", 5)
 	if len(got) != 1 || got[0] != "ab" {
 		t.Errorf("short-name suggestions = %v", got)
 	}
@@ -93,7 +93,7 @@ func TestMembersMaxAndOrdering(t *testing.T) {
 	}
 	g := b.MustBuild()
 	table := core.New(g).BuildTable()
-	got := Members(table, x, "masq", 2)
+	got := Members(g, table.Members(x), "masq", 2)
 	if len(got) != 2 {
 		t.Fatalf("max not applied: %v", got)
 	}
@@ -130,7 +130,7 @@ func TestMembersRankingTies(t *testing.T) {
 	g := b.MustBuild()
 	table := core.New(g).BuildTable()
 
-	got := Members(table, g.MustID("C"), "datx", 0)
+	got := Members(g, table.Members(g.MustID("C")), "datx", 0)
 	want := []string{"data", "date", "dats", "datu"}
 	if len(got) != len(want) {
 		t.Fatalf("Members = %v, want %v", got, want)
@@ -149,12 +149,12 @@ func TestMembersRankingTies(t *testing.T) {
 	b2.Method(d, "fielx") // distance 1
 	g2 := b2.MustBuild()
 	t2 := core.New(g2).BuildTable()
-	if got := Members(t2, g2.MustID("D"), "field", 2); len(got) != 2 || got[0] != "fielx" {
+	if got := Members(g2, t2.Members(g2.MustID("D")), "field", 2); len(got) != 2 || got[0] != "fielx" {
 		t.Errorf("Members = %v, want the distance-1 candidate first", got)
 	}
 
 	// max truncates after the deterministic order is fixed.
-	if got := Members(table, g.MustID("C"), "datx", 2); len(got) != 2 || got[0] != "data" || got[1] != "date" {
+	if got := Members(g, table.Members(g.MustID("C")), "datx", 2); len(got) != 2 || got[0] != "data" || got[1] != "date" {
 		t.Errorf("Members with max=2 = %v, want [data date]", got)
 	}
 }
