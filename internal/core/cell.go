@@ -102,6 +102,12 @@ func (c Cell) Kind() Kind {
 	}
 }
 
+// Pooled reports whether the cell references a payload interned in
+// its pool. Only such words keep a payload alive: clearing an inline
+// word (Undefined, plain Red, zero) can never turn a payload into
+// garbage.
+func (c Cell) Pooled() bool { return c.tag() == cellTagPooled }
+
 func (c Cell) poolIndex() uint32 { return uint32(uint64(c) & cellIndexMask) }
 
 func (c Cell) inlineDef() Def {

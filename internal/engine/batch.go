@@ -167,10 +167,10 @@ func (s *Snapshot) lookupBatchRange(col *semColumn, qs []Query, dst []core.Resul
 	}
 	sorted, perm := sc.Sort(len(qs), sentinel)
 
-	cells := s.cells
+	cells := &s.cells
 	locks := &s.fillLocks
 	if col != nil {
-		cells = col.cells
+		cells = &col.cells
 		locks = &col.fillLocks
 	}
 
@@ -197,7 +197,7 @@ func (s *Snapshot) lookupBatchRange(col *semColumn, qs []Query, dst []core.Resul
 				}
 				lastM = m
 			}
-			if w := atomic.LoadUint64(&cells[int(c)*s.numMembers+int(m)]); w != 0 {
+			if w := cells.load(int(c)*s.numMembers + int(m)); w != 0 {
 				r = s.pool.View(core.Cell(w))
 			} else {
 				if held == nil {
@@ -221,12 +221,12 @@ func (s *Snapshot) lookupBatchRange(col *semColumn, qs []Query, dst []core.Resul
 // scratch stack threaded through the recursion (one frame per depth,
 // reused across every miss of the batch) instead of a fresh
 // allocation per resolve call.
-func (s *Snapshot) fillBatch(cells []uint64, col *semColumn, c chg.ClassID, m chg.MemberID, st *core.ScratchStack) core.Result {
+func (s *Snapshot) fillBatch(cells *pagedCells, col *semColumn, c chg.ClassID, m chg.MemberID, st *core.ScratchStack) core.Result {
 	depth := 0
 	var lookup func(x chg.ClassID) core.Result
 	lookup = func(x chg.ClassID) core.Result {
-		cell := &cells[int(x)*s.numMembers+int(m)]
-		if w := atomic.LoadUint64(cell); w != 0 {
+		i := int(x)*s.numMembers + int(m)
+		if w := cells.load(i); w != 0 {
 			return s.pool.View(core.Cell(w))
 		}
 		var r core.Result
@@ -238,7 +238,7 @@ func (s *Snapshot) fillBatch(cells []uint64, col *semColumn, c chg.ClassID, m ch
 		} else {
 			r = col.sem.Resolve(x, m, lookup)
 		}
-		atomic.StoreUint64(cell, uint64(r.Cell()))
+		cells.publish(i, uint64(r.Cell()))
 		return r
 	}
 	return lookup(c)

@@ -6,10 +6,12 @@ package engine
 // side of that contract: exporting a live snapshot's columns for the
 // writer, and reassembling a Snapshot around columns that alias
 // memory-mapped bytes. A snapshot built from mapped columns serves
-// warm hits straight out of the map (one atomic word load, zero
-// deserialization); misses fill cells with the usual atomic stores,
-// which land in the map's private copy-on-write pages, and republishes
-// carry from it exactly like from any heap snapshot.
+// warm hits straight out of the map (its cell pages point into the
+// mapped bytes: one atomic word load, zero deserialization); misses
+// fill cells with the usual atomic stores, which land in the map's
+// private copy-on-write pages, and republishes carry from it exactly
+// like from any heap snapshot — sharing the mapped pages the edit did
+// not touch.
 
 import (
 	"fmt"
@@ -35,17 +37,10 @@ type CellColumn struct {
 // pooled payload a copied word references is already fully interned
 // (cells publish after their payloads).
 func (s *Snapshot) CopyColumns() []CellColumn {
-	copyCol := func(src []uint64) []uint64 {
-		dst := make([]uint64, len(src))
-		for i := range src {
-			dst[i] = atomic.LoadUint64(&src[i])
-		}
-		return dst
-	}
 	out := make([]CellColumn, 0, 1+len(s.sems))
-	out = append(out, CellColumn{ID: core.SemDominance, Cells: copyCol(s.cells)})
+	out = append(out, CellColumn{ID: core.SemDominance, Cells: s.cells.flat()})
 	for _, col := range s.sems {
-		out = append(out, CellColumn{ID: col.id, Cells: copyCol(col.cells)})
+		out = append(out, CellColumn{ID: col.id, Cells: col.cells.flat()})
 	}
 	return out
 }
@@ -64,7 +59,7 @@ const warmWorkers = 1
 // answers the whole table without a single miss. Each column is built
 // once by the kernel's block walk (core.BuildSemTableStreamed over the
 // snapshot's own pool; C3 and gxx fill a class row per call) and
-// scattered into the dense cells in one pass: member cells take the
+// scattered into the paged cells in one pass: member cells take the
 // table's word, every other cell the Undefined word. The table is
 // dropped afterwards — Table and TableSem stay lazy — so warming
 // leaves nothing alive beyond the cells and their pooled payloads.
@@ -76,37 +71,43 @@ const warmWorkers = 1
 // cell write the same word, and whichever comes second changes
 // nothing.
 func (s *Snapshot) WarmAll() {
-	s.warmColumn(s.k, s.cells)
+	s.warmColumn(s.k, &s.cells)
 	for _, col := range s.sems {
-		s.warmColumn(col.sem, col.cells)
+		s.warmColumn(col.sem, &col.cells)
 	}
 }
 
-// warmColumn builds sem's whole table and scatters it into cells.
-func (s *Snapshot) warmColumn(sem core.Semantics, cells []uint64) {
+// warmColumn builds sem's whole table and scatters it into cells,
+// counting its successful stores once at the end.
+func (s *Snapshot) warmColumn(sem core.Semantics, cells *pagedCells) {
 	t, _ := core.BuildSemTableStreamed(sem, core.StreamOptions{Workers: warmWorkers})
 	undef := uint64(core.UndefinedResult().Cell())
 	n := s.k.Graph().NumClasses()
+	stored := 0
 	for c := 0; c < n; c++ {
-		row := cells[c*s.numMembers : (c+1)*s.numMembers]
+		base := c * s.numMembers
 		ms, rs := t.Row(chg.ClassID(c))
 		i := 0
-		for m := range row {
+		for m := 0; m < s.numMembers; m++ {
 			w := undef
 			if i < len(ms) && int(ms[i]) == m {
 				w = uint64(rs[i])
 				i++
 			}
-			atomic.CompareAndSwapUint64(&row[m], 0, w)
+			if atomic.CompareAndSwapUint64(cells.word(base+m), 0, w) {
+				stored++
+			}
 		}
 	}
+	cells.fills.n.Add(int64(stored))
 }
 
 // NewSnapshotFromParts assembles a standalone snapshot (version 1, no
 // engine) around externally produced cache columns — the image
 // loader's constructor. The columns must be dominance-first, each of
 // length NumClasses×NumMemberNames, packed over pool; they are adopted
-// without copying, so mapped columns serve from the mapped bytes.
+// without copying (only a partial last page is copied), so mapped
+// columns serve from the mapped bytes.
 // trackPaths/staticRule must match the flags the cells were resolved
 // under (the image header records them).
 func NewSnapshotFromParts(g *chg.Graph, pool *core.Pool, cols []CellColumn, trackPaths, staticRule bool) (*Snapshot, error) {
@@ -143,7 +144,7 @@ func NewSnapshotFromParts(g *chg.Graph, pool *core.Pool, cols []CellColumn, trac
 		if err != nil {
 			return nil, err
 		}
-		sems = append(sems, &semColumn{id: col.ID, sem: sem, cells: col.Cells})
+		sems = append(sems, &semColumn{id: col.ID, sem: sem, cells: pagedCellsOver(col.Cells)})
 		opts = append(opts, core.WithSemantics(col.ID))
 	}
 	return &Snapshot{
@@ -151,7 +152,7 @@ func NewSnapshotFromParts(g *chg.Graph, pool *core.Pool, cols []CellColumn, trac
 		k:          core.NewKernel(g, opts...),
 		pool:       pool,
 		numMembers: numM,
-		cells:      cols[0].Cells,
+		cells:      pagedCellsOver(cols[0].Cells),
 		sems:       sems,
 	}, nil
 }

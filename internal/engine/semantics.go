@@ -3,7 +3,7 @@ package engine
 // Per-backend cache columns. A snapshot built WithSemantics serves the
 // same hierarchy under several resolution backends at once: the
 // dominance kernel keeps the primary cell array, and every extra
-// backend gets a column — its own dense cells and shard locks, over
+// backend gets a column — its own paged cells and shard locks, over
 // the snapshot's one shared payload pool. Columns use the identical
 // fill discipline as the primary cache (atomic warm reads, per-member
 // shard locks, zero word = unfilled), so every property the engine
@@ -12,7 +12,6 @@ package engine
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"cpplookup/internal/chg"
 	"cpplookup/internal/core"
@@ -23,7 +22,7 @@ import (
 type semColumn struct {
 	id        core.SemanticsID
 	sem       core.Semantics
-	cells     []uint64
+	cells     pagedCells
 	fillLocks [shardCount]sync.Mutex
 	tableOnce sync.Once
 	table     *core.Table
@@ -45,7 +44,7 @@ func newColumns(k *core.Kernel) ([]*semColumn, error) {
 		if err != nil {
 			return nil, err
 		}
-		cols = append(cols, &semColumn{id: id, sem: sem, cells: make([]uint64, size)})
+		cols = append(cols, &semColumn{id: id, sem: sem, cells: newPagedCells(size)})
 	}
 	return cols, nil
 }
@@ -86,7 +85,7 @@ func (s *Snapshot) LookupSem(id core.SemanticsID, c chg.ClassID, m chg.MemberID)
 	if !s.k.Graph().Valid(c) || m < 0 || int(m) >= s.numMembers {
 		return core.UndefinedResult(), true
 	}
-	if w := atomic.LoadUint64(&col.cells[int(c)*s.numMembers+int(m)]); w != 0 {
+	if w := col.cells.load(int(c)*s.numMembers + int(m)); w != 0 {
 		return s.pool.View(core.Cell(w)), true
 	}
 	return s.fillSem(col, c, m), true
@@ -103,12 +102,12 @@ func (s *Snapshot) fillSem(col *semColumn, c chg.ClassID, m chg.MemberID) core.R
 
 	var lookup func(x chg.ClassID) core.Result
 	lookup = func(x chg.ClassID) core.Result {
-		cell := &col.cells[int(x)*s.numMembers+int(m)]
-		if w := atomic.LoadUint64(cell); w != 0 {
+		i := int(x)*s.numMembers + int(m)
+		if w := col.cells.load(i); w != 0 {
 			return s.pool.View(core.Cell(w))
 		}
 		r := col.sem.Resolve(x, m, lookup)
-		atomic.StoreUint64(cell, uint64(r.Cell()))
+		col.cells.publish(i, uint64(r.Cell()))
 		return r
 	}
 	return lookup(c)
@@ -141,11 +140,5 @@ func (s *Snapshot) SemCachedEntries(id core.SemanticsID) int {
 	if col == nil {
 		return 0
 	}
-	n := 0
-	for i := range col.cells {
-		if atomic.LoadUint64(&col.cells[i]) != 0 {
-			n++
-		}
-	}
-	return n
+	return col.cells.count()
 }

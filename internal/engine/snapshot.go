@@ -2,7 +2,6 @@ package engine
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"cpplookup/internal/chg"
 	"cpplookup/internal/core"
@@ -23,18 +22,18 @@ const shardCount = 32
 // holding one are isolated from later engine updates.
 //
 // The cache is a dense numClasses×numMemberNames array of packed
-// core.Cell words, read and written with sync/atomic word operations:
-// a warm hit is one array index and one atomic word load — no locking,
-// no hashing, no pointer chase, and no per-result allocation, since
-// the word itself encodes the common results and rare payloads live
-// interned in the kernel's per-snapshot pool. The zero word means "not
-// filled yet" (core never encodes a result as zero). Writers fill
-// misses under a per-member-name shard lock; each cell is computed and
-// published exactly once. The slice is plain []uint64 rather than
-// []atomic.Uint64 so that carry-over can stage a not-yet-published
-// successor with ordinary stores (publication through the engine's
-// mutex provides the happens-before edge) instead of paying an atomic
-// read-modify-write per carried cell.
+// core.Cell words, split into fixed pages (pages.go) and read and
+// written with sync/atomic word operations: a warm hit is one page
+// table index and one atomic word load — no locking, no hashing, and
+// no per-result allocation, since the word itself encodes the common
+// results and rare payloads live interned in the kernel's
+// per-snapshot pool. The zero word means "not filled yet" (core never
+// encodes a result as zero). Writers fill misses under a
+// per-member-name shard lock and publish with a compare-and-swap from
+// zero; each cell is computed once per snapshot. Pages the last edit
+// could not affect are shared with the predecessor snapshot, so a
+// cell on such a page may also be filled, with the same word, by that
+// snapshot's readers.
 type Snapshot struct {
 	name    string
 	version uint64
@@ -42,7 +41,7 @@ type Snapshot struct {
 	pool    *core.Pool
 
 	numMembers int
-	cells      []uint64
+	cells      pagedCells
 	fillLocks  [shardCount]sync.Mutex
 
 	// sems holds one cache column per extra resolution backend the
@@ -54,15 +53,9 @@ type Snapshot struct {
 	// zero value for cold snapshots.
 	carry CarryStats
 
-	// poolWeighedLen and invalSinceWeigh gate the pool-compaction
-	// scan on the carry path: the pool's length when it was last
-	// weighed (counted live vs garbage), and the carried cells
-	// invalidated since. Garbage only accrues through new interning
-	// (pool growth) or cone clearing, so until their sum clears the
-	// compaction floor a republish can skip the O(cells) weigh
-	// entirely.
-	poolWeighedLen  int
-	invalSinceWeigh int
+	// weigh gates the O(cells) pool weigh on the carry path (see
+	// carriedSnapshot).
+	weigh weighState
 
 	tableOnce sync.Once
 	table     *core.Table
@@ -92,7 +85,7 @@ func newSnapshot(name string, version uint64, k *core.Kernel) (*Snapshot, error)
 		k:          k,
 		pool:       k.Pool(),
 		numMembers: numM,
-		cells:      make([]uint64, g.NumClasses()*numM),
+		cells:      newPagedCells(g.NumClasses() * numM),
 		sems:       cols,
 	}, nil
 }
@@ -120,7 +113,7 @@ func (s *Snapshot) Lookup(c chg.ClassID, m chg.MemberID) core.Result {
 	if !s.k.Graph().Valid(c) || m < 0 || int(m) >= s.numMembers {
 		return core.UndefinedResult()
 	}
-	if w := atomic.LoadUint64(&s.cells[int(c)*s.numMembers+int(m)]); w != 0 {
+	if w := s.cells.load(int(c)*s.numMembers + int(m)); w != 0 {
 		return s.pool.View(core.Cell(w))
 	}
 	return s.fill(c, m)
@@ -131,10 +124,11 @@ func (s *Snapshot) Lookup(c chg.ClassID, m chg.MemberID) core.Result {
 // dependencies of (c,m) are entries for the same member name, hence
 // under the same lock: one acquisition covers the whole recursion, and
 // the double-check below makes each cell's computation happen once per
-// snapshot even under contention. Publishing a cell is an atomic word
-// store of the packed result; any rare payload was interned in the
-// snapshot's pool before the word existed, so readers that observe the
-// word also observe the fully initialised payload behind its index.
+// snapshot even under contention. Publishing a cell is an atomic
+// compare-and-swap of the packed result; any rare payload was interned
+// in the snapshot's pool before the word existed, so readers that
+// observe the word also observe the fully initialised payload behind
+// its index.
 func (s *Snapshot) fill(c chg.ClassID, m chg.MemberID) core.Result {
 	sh := &s.fillLocks[uint32(m)%shardCount]
 	sh.Lock()
@@ -142,14 +136,14 @@ func (s *Snapshot) fill(c chg.ClassID, m chg.MemberID) core.Result {
 
 	var lookup func(x chg.ClassID) core.Result
 	lookup = func(x chg.ClassID) core.Result {
-		cell := &s.cells[int(x)*s.numMembers+int(m)]
-		if w := atomic.LoadUint64(cell); w != 0 {
+		i := int(x)*s.numMembers + int(m)
+		if w := s.cells.load(i); w != 0 {
 			// Already published — possibly by a writer ahead of us
 			// while we waited on the lock.
 			return s.pool.View(core.Cell(w))
 		}
 		r := s.k.Resolve(x, m, lookup)
-		atomic.StoreUint64(cell, uint64(r.Cell()))
+		s.cells.publish(i, uint64(r.Cell()))
 		return r
 	}
 	return lookup(c)
@@ -214,15 +208,7 @@ func (s *Snapshot) EachTableEntry(fn func(c chg.ClassID, m chg.MemberID, r core.
 // CachedEntries reports how many lookup results the lazy cache
 // currently holds (the table built by Table is not counted). Intended
 // for tests and observability.
-func (s *Snapshot) CachedEntries() int {
-	n := 0
-	for i := range s.cells {
-		if atomic.LoadUint64(&s.cells[i]) != 0 {
-			n++
-		}
-	}
-	return n
-}
+func (s *Snapshot) CachedEntries() int { return s.cells.count() }
 
 // Pool returns the snapshot's payload pool — the per-snapshot intern
 // table for rare result payloads. Exposed for observability (the E13

@@ -2,6 +2,7 @@ package image
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"cpplookup/internal/chg"
@@ -130,6 +131,114 @@ func TestCarryFromMappedImage(t *testing.T) {
 			want := coldOld.Lookup(chg.ClassID(c), chg.MemberID(m))
 			if got := im.Snapshot().Lookup(chg.ClassID(c), chg.MemberID(m)); !want.Equal(got) {
 				t.Fatalf("predecessor drifted after carry: [%d,%d] = %v, want %v", c, m, got, want)
+			}
+		}
+	}
+}
+
+// A mapped image whose columns end on a partial page (70 classes × 100
+// names = 7000 cells, not a multiple of the engine's 4096-word pages)
+// serves word for word what was saved, and three carried edits on top
+// of it — a toggle, class adds that extend the partial page, another
+// toggle — each answer exactly like a cold snapshot of the edited
+// hierarchy, under every backend.
+func TestCarryFromMappedImagePartialPage(t *testing.T) {
+	w := incremental.New()
+	var ids []chg.ClassID
+	for i := 0; i < 70; i++ {
+		var bases []incremental.BaseDecl
+		if i > 0 {
+			bases = append(bases, incremental.BaseDecl{Class: ids[(i-1)/2], Virtual: i%3 == 0})
+		}
+		if i > 10 && ids[i-9] != ids[(i-1)/2] {
+			bases = append(bases, incremental.BaseDecl{Class: ids[i-9]})
+		}
+		id, err := w.AddClass(fmt.Sprintf("C%d", i), bases)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	for k := 0; k < 100; k++ {
+		if err := w.AddMember(ids[(k*37)%len(ids)], chg.Member{Name: fmt.Sprintf("m%d", k), Kind: chg.Method, Static: k%7 == 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := t.TempDir() + "/partial.img"
+	opts := []core.Option{core.WithSemantics(allBackends...), core.WithStaticRule()}
+	saved, err := FreezeWorkspace(w, path, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	im, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer im.Close()
+
+	want, got := saved.CopyColumns(), im.Snapshot().CopyColumns()
+	if len(got) != len(want) {
+		t.Fatalf("%d columns loaded, %d saved", len(got), len(want))
+	}
+	for i := range want {
+		if len(want[i].Cells)%4096 == 0 {
+			t.Fatalf("column %s has %d cells: no partial page", want[i].ID, len(want[i].Cells))
+		}
+		if got[i].ID != want[i].ID || !slices.Equal(got[i].Cells, want[i].Cells) {
+			t.Fatalf("column %s: mapped copy differs from the saved column", want[i].ID)
+		}
+	}
+
+	e := engine.New()
+	if err := e.Adopt("ws", im.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	edits := []func() error{
+		func() error { return w.AddMember(ids[20], chg.Member{Name: "m3", Kind: chg.Method}) },
+		func() error {
+			for k := 0; k < 30; k++ { // 7000 → 10000 cells
+				if _, err := w.AddClass(fmt.Sprintf("N%d", k), []incremental.BaseDecl{{Class: ids[k+5], Virtual: k%2 == 0}}); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		func() error { return w.AddMember(ids[2], chg.Member{Name: "m50", Kind: chg.Field, Static: true}) },
+	}
+	for round, edit := range edits {
+		gen := w.Generation()
+		if err := edit(); err != nil {
+			t.Fatalf("edit %d: %v", round, err)
+		}
+		g, err := w.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cone, ok := w.InvalidationConeSince(gen)
+		if !ok {
+			t.Fatal("edit log did not cover the window")
+		}
+		entries := make([]engine.ConeEntry, len(cone))
+		for i, mc := range cone {
+			entries[i] = engine.ConeEntry{Member: mc.Member, Classes: mc.Classes}
+		}
+		succ, err := e.UpdateCarried("ws", g, entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := succ.Carry(); st.Carried == 0 {
+			t.Fatalf("edit %d carried nothing: %+v", round, st)
+		}
+		cold := engine.NewSnapshot(g, opts...)
+		for _, id := range cold.Semantics() {
+			for c := 0; c < g.NumClasses(); c++ {
+				for m := 0; m < g.NumMemberNames(); m++ {
+					w, _ := cold.LookupSem(id, chg.ClassID(c), chg.MemberID(m))
+					r, _ := succ.LookupSem(id, chg.ClassID(c), chg.MemberID(m))
+					if !w.Equal(r) {
+						t.Fatalf("edit %d: %s: lookup[%s, %s] = %v, want %v", round, id, g.Name(chg.ClassID(c)), g.MemberName(chg.MemberID(m)), r, w)
+					}
+				}
 			}
 		}
 	}

@@ -25,8 +25,8 @@ type Meta struct {
 // Image is a loaded snapshot image: a servable engine.Snapshot whose
 // pool arenas and cell columns alias the image bytes. Keep it (or at
 // least don't Close it) as long as any snapshot obtained from it — or
-// any carried successor sharing its pool — is in use; Close unmaps a
-// mapped file.
+// any carried successor sharing its pool or its cell pages — is in
+// use; Close unmaps a mapped file.
 type Image struct {
 	snap    *engine.Snapshot
 	meta    Meta
